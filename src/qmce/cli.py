@@ -209,7 +209,7 @@ def cmd_mc_verify(args) -> int:
     s = _spectrum_from(args)
     d = build_dos(s)
     cfg = McConfig(samples=args.samples, seed=args.seed, bins=args.bins)
-    est = estimate_dos(d, cfg, threads=_threads(cfg.streams))
+    est = estimate_dos(s, cfg, threads=_threads(cfg.streams))
     edges = est.bin_edges
     exact = np.array(
         [integrate_dos(d, a, b) / (b - a) for a, b in zip(edges[:-1], edges[1:])]

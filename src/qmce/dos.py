@@ -37,19 +37,26 @@ class PiecewiseDos:
     """Density of states as an exact piecewise polynomial.
 
     knots: eigenvalues repeated per multiplicity (length dim = n + 1)
-    degree: polynomial degree n - 1
     poly: the piecewise representation of Omega
-    normalization: total integral, pi^n / n!
     """
 
     knots: np.ndarray
-    degree: int
     poly: PiecewisePolynomial
-    normalization: float
 
     @property
     def dim(self) -> int:
         return self.knots.size
+
+    @property
+    def degree(self) -> int:
+        """Polynomial degree n - 1."""
+        return self.dim - 2
+
+    @property
+    def normalization(self) -> float:
+        """Total integral, pi^n / n!."""
+        n = self.dim - 1
+        return math.pi**n / math.factorial(n)
 
     @property
     def e_min(self) -> float:
@@ -110,13 +117,7 @@ def build_dos(s: Spectrum) -> PiecewiseDos:
             polys = nxt
         row = polys[0] * scale
         coeffs[j, : row.size] = row
-    poly = PiecewisePolynomial(bps, coeffs)
-    return PiecewiseDos(
-        knots=t,
-        degree=degree,
-        poly=poly,
-        normalization=math.pi**n / math.factorial(n),
-    )
+    return PiecewiseDos(knots=t, poly=PiecewisePolynomial(bps, coeffs))
 
 
 def eval_dos(d: PiecewiseDos, e):

@@ -33,11 +33,12 @@ def _compose_linear(coeffs: np.ndarray, a0: float, a1: float) -> np.ndarray:
 
 
 def _deriv_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Ascending coefficients of the order-th derivative along the last axis."""
     c = np.asarray(coeffs, dtype=float)
     for _ in range(order):
-        if c.size <= 1:
-            return np.zeros(1)
-        c = c[1:] * np.arange(1, c.size)
+        if c.shape[-1] <= 1:
+            return np.zeros(c.shape[:-1] + (1,))
+        c = c[..., 1:] * np.arange(1, c.shape[-1])
     return c
 
 
@@ -134,8 +135,12 @@ class PiecewisePolynomial:
 
     # -- evaluation ----------------------------------------------------
 
-    def value(self, x):
-        """Evaluate at x (scalar or array); the last endpoint is closed."""
+    def value(self, x, order: int = 0):
+        """Evaluate the order-th derivative at x (scalar or array).
+
+        Right-sided at breakpoints; the last endpoint is closed, so it
+        takes the left limit there.
+        """
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
@@ -143,7 +148,7 @@ class PiecewisePolynomial:
         idx = np.searchsorted(bp, xs, side="right") - 1
         idx = np.clip(idx, 0, self.npieces - 1)
         u = xs - bp[idx]
-        co = self.coefficients
+        co = _deriv_coeffs(self.coefficients, order)
         out = co[idx, -1].copy()
         for i in range(co.shape[1] - 2, -1, -1):
             out = out * u + co[idx, i]
@@ -172,8 +177,7 @@ class PiecewisePolynomial:
     def derivative_value(self, x: float, order: int = 1) -> float:
         """Two-sided derivative away from breakpoints; right-sided at them
         (left-sided at the top of the support)."""
-        left, right = self.one_sided(x, order)
-        return left if x >= self.breakpoints[-1] else right
+        return self.value(x, order)
 
     # -- calculus ------------------------------------------------------
 

@@ -10,6 +10,13 @@ underpins the numerics: beta = Omega'/Omega is nonincreasing in E, so
 T(E) is monotone on each side of the mode and root finding is
 bisection-safe, C >= 0, and the two-system entropy objective of
 ``equilibrate`` is concave in the exchanged energy.
+
+Smoothness at a knot is an exact property of the spline, not something
+measured: at an interior level of multiplicity m in dimension N the
+derivatives of Omega through order N-2-m are continuous and order N-1-m
+is the first that jumps (de Boor, J. Approx. Theory 6, 1972).  Critical
+points and the side checks of ``temperature``/``specific_heat_at_E``
+are read off the multiplicities.
 """
 
 from __future__ import annotations
@@ -21,9 +28,8 @@ import numpy as np
 
 from .dos import PiecewiseDos
 from .errors import InvalidInputError, NoSolutionError
-from .piecewise import PiecewisePolynomial, _deriv_coeffs
+from .piecewise import PiecewisePolynomial
 
-_JUMP_RTOL = 1e-8
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -40,9 +46,10 @@ class ThermoCurve:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Knot where some one-sided derivative of Omega jumps.
+    """Interior level, where some one-sided derivative of Omega jumps.
 
-    temperature is k_B*T at the knot; when the very first derivative
+    discontinuity_order is N-1-m for a level of multiplicity m in
+    dimension N.  temperature is k_B*T at the knot; when the very first derivative
     jumps (discontinuity_order 1) the temperature itself is two-valued
     and the right limit is stored.  jump holds the (left, right) values
     of the first discontinuous order.
@@ -72,13 +79,6 @@ class EquilibrationResult:
     boundary: bool
 
 
-def _piece_deriv_scale(poly: PiecewisePolynomial, j: int, order: int) -> float:
-    """Sup estimate of the order-th derivative magnitude on piece j."""
-    c = _deriv_coeffs(poly.coefficients[j], order)
-    h = poly.breakpoints[j + 1] - poly.breakpoints[j]
-    return float(np.sum(np.abs(c) * h ** np.arange(c.size)))
-
-
 def _noise_floor(poly: PiecewisePolynomial, x: float) -> float:
     """Rounding-noise bound for evaluating the piece containing x."""
     bp = poly.breakpoints
@@ -88,33 +88,45 @@ def _noise_floor(poly: PiecewisePolynomial, x: float) -> float:
     return 16.0 * math.ulp(1.0) * float(np.sum(c * xi ** np.arange(c.size)))
 
 
-def _jump_is_significant(poly: PiecewisePolynomial, e: float, order: int, left: float, right: float) -> bool:
-    if left == right:
-        return False
-    bp = poly.breakpoints
-    jl = int(np.searchsorted(bp, e, side="left")) - 1
-    jr = int(np.searchsorted(bp, e, side="right")) - 1
-    if jl == jr:
-        return False  # interior of a piece: both sides are the same value
-    ref = max(
-        _piece_deriv_scale(poly, max(jl, 0), order),
-        _piece_deriv_scale(poly, min(jr, poly.npieces - 1), order),
-    )
-    return abs(right - left) > _JUMP_RTOL * ref
+def _multiplicity(d: PiecewiseDos, e: float) -> int:
+    """How often e occurs among the knots (0 away from the levels)."""
+    k = d.knots
+    return int(np.searchsorted(k, e, side="right") - np.searchsorted(k, e, side="left"))
 
 
-def _sided(poly: PiecewisePolynomial, e: float, order: int, side: str | None) -> float:
-    left, right = poly.one_sided(e, order)
+def _sided(d: PiecewiseDos, e: float, order: int, side: str | None) -> float:
+    left, right = d.poly.one_sided(e, order)
     if side == "left":
         return left
     if side == "right":
         return right
-    if _jump_is_significant(poly, e, order, left, right):
+    m = _multiplicity(d, e)
+    if m > 0 and order >= d.dim - 1 - m:
         raise InvalidInputError(
             f"derivative of order {order} jumps at E = {e:g}; "
             "request side='left' or side='right'"
         )
     return 0.5 * (left + right)
+
+
+def _temperature_of(w, w1):
+    """k_B*T = Omega/Omega', +inf where Omega' = 0 (scalar or array)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w1 != 0.0, w / np.where(w1 != 0.0, w1, 1.0), math.inf)
+
+
+def _heat_of(w, w1, w2):
+    """C = Omega'^2 / (Omega'^2 - Omega*Omega'') (scalar or array).
+
+    The 0/0 case is 0 (constant Omega: the energy cannot respond to
+    temperature); a vanishing denominator alone is +inf, the
+    divergent-specific-heat signal.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = w1 * w1
+        den = num - w * w2
+        heat = np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), math.inf)
+    return np.where((num == 0.0) & (den == 0.0), 0.0, heat)
 
 
 def _check_side(side) -> None:
@@ -139,11 +151,7 @@ def temperature(d: PiecewiseDos, e, side: str | None = None) -> float:
     e = float(e)
     _check_side(side)
     _check_interior(d, e)
-    w = _sided(d.poly, e, 0, side)
-    w1 = _sided(d.poly, e, 1, side)
-    if w1 == 0.0:
-        return math.inf
-    return w / w1
+    return float(_temperature_of(_sided(d, e, 0, side), _sided(d, e, 1, side)))
 
 
 def specific_heat_at_E(d: PiecewiseDos, e, side: str | None = None) -> float:
@@ -156,16 +164,8 @@ def specific_heat_at_E(d: PiecewiseDos, e, side: str | None = None) -> float:
     e = float(e)
     _check_side(side)
     _check_interior(d, e)
-    w = _sided(d.poly, e, 0, side)
-    w1 = _sided(d.poly, e, 1, side)
-    w2 = _sided(d.poly, e, 2, side)
-    num = w1 * w1
-    den = num - w * w2
-    if num == 0.0 and den == 0.0:
-        return 0.0
-    if den == 0.0:
-        return math.inf
-    return num / den
+    w, w1, w2 = (_sided(d, e, k, side) for k in range(3))
+    return float(_heat_of(w, w1, w2))
 
 
 def energy_of_temperature(d: PiecewiseDos, t, branch: str = "first-monotone") -> float:
@@ -270,47 +270,31 @@ def thermo_curve(d: PiecewiseDos, n: int = 1000, e_range=None, kb: float = 1.0) 
         if np.any(hit):
             shifted = k + 0.5 * step
             grid[hit] = shifted if shifted < hi else k - 0.5 * step
-    w = d.poly.value(grid)
-    w1 = np.array([d.poly.derivative_value(x, 1) for x in grid])
-    w2 = np.array([d.poly.derivative_value(x, 2) for x in grid])
+    w, w1, w2 = (d.poly.value(grid, k) for k in range(3))
     with np.errstate(divide="ignore", invalid="ignore"):
         entropy = np.log(w)
-        temp = np.where(w1 != 0.0, w / np.where(w1 != 0.0, w1, 1.0), math.inf)
-        num = w1 * w1
-        den = num - w * w2
-        heat = np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), math.inf)
-        heat = np.where((num == 0.0) & (den == 0.0), 0.0, heat)
-    return ThermoCurve(grid=grid, S=entropy, T=temp, C=heat, kB=float(kb))
+    return ThermoCurve(
+        grid=grid, S=entropy, T=_temperature_of(w, w1), C=_heat_of(w, w1, w2), kB=float(kb)
+    )
 
 
 def critical_points(d: PiecewiseDos) -> list[CriticalPoint]:
-    """One CriticalPoint per interior knot with a derivative jump.
+    """One CriticalPoint per interior level, in increasing energy.
 
-    One-sided derivatives are compared order by order (1..degree); the
-    first order whose jump exceeds 1e-8 of the local derivative scale
-    is reported.  Knots smooth through order degree are omitted.
+    A level of multiplicity m in dimension N is reported with
+    discontinuity order N-1-m, the first derivative order that jumps
+    there; every lower order is continuous.
     """
     out = []
     for e in d.poly.breakpoints[1:-1]:
         e = float(e)
-        for order in range(1, d.degree + 1):
-            lv, rv = d.poly.one_sided(e, order)
-            if _jump_is_significant(d.poly, e, order, lv, rv):
-                w = d.poly.value(e)
-                l1, r1 = d.poly.one_sided(e, 1)
-                w1 = r1 if order == 1 else 0.5 * (l1 + r1)
-                t = math.inf if w1 == 0.0 else w / w1
-                out.append(CriticalPoint(e, t, order, (float(lv), float(rv))))
-                break
+        order = d.dim - 1 - _multiplicity(d, e)
+        lv, rv = d.poly.one_sided(e, order)
+        l1, r1 = d.poly.one_sided(e, 1)
+        w1 = r1 if order == 1 else 0.5 * (l1 + r1)
+        t = float(_temperature_of(d.poly.value(e), w1))
+        out.append(CriticalPoint(e, t, order, (float(lv), float(rv))))
     return out
-
-
-def _ratio_right(d: PiecewiseDos, x: float) -> float:
-    w = d.poly.value(x)
-    w1 = d.poly.derivative_value(x, 1)
-    if w1 == 0.0:
-        return math.inf
-    return w / w1
 
 
 def equilibrate(
@@ -428,8 +412,8 @@ def equilibrate(
     x1, x2 = xs(eps)
     return EquilibrationResult(
         epsilon=float(eps),
-        t1=_ratio_right(d1, x1),
-        t2=_ratio_right(d2, x2),
+        t1=float(_temperature_of(d1.poly.value(x1), d1.poly.value(x1, 1))),
+        t2=float(_temperature_of(d2.poly.value(x2), d2.poly.value(x2, 1))),
         total_entropy=entropy(eps),
         boundary=boundary,
     )

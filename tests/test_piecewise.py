@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from qmce import build_dos, make_spectrum
 from qmce.piecewise import PiecewisePolynomial, _exp_moments
 
 
@@ -39,6 +40,23 @@ class TestEvaluation:
         assert p.one_sided(0.0, 0) == (0.0, 1.0)
         assert p.one_sided(3.0, 0) == (-1.0, 0.0)
         assert p.one_sided(5.0, 0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [two_piece(), build_dos(make_spectrum([(0.0, 1), (0.4, 2), (1.3, 1), (2.0, 1)])).poly],
+        ids=["two_piece", "dos_dim5"],
+    )
+    def test_value_order_matches_one_sided(self, poly):
+        # value(x, k) is exactly the right limit of one_sided, the left
+        # limit at the closed top endpoint, and 0 outside the support
+        bp = poly.breakpoints
+        xs = np.concatenate([bp, 0.5 * (bp[:-1] + bp[1:]), [bp[0] - 1.0, bp[-1] + 1.0]])
+        for k in range(poly.degree + 2):
+            expect = [
+                poly.one_sided(x, k)[0] if x == bp[-1] else poly.one_sided(x, k)[1] for x in xs
+            ]
+            assert poly.value(xs, k).tolist() == expect
+            assert [poly.value(x, k) for x in xs] == expect
 
     def test_argmax(self):
         p = two_piece()

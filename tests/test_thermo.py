@@ -268,3 +268,20 @@ def test_affine_shift_invariance():
         assert specific_heat_at_E(ds, e + 0.37) == pytest.approx(
             specific_heat_at_E(db, e), rel=1e-9
         )
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        make_spectrum(list(np.sort(np.random.default_rng(20260817).uniform(-2, 2, 64)))),
+        ising_spectrum(IsingChainSpec(6, 0.7, 0.35)),
+    ],
+    ids=["generic_dim64", "ising_L6"],
+)
+def test_critical_points_order_from_multiplicity(s):
+    # a level of multiplicity m first jumps at derivative order dim-1-m
+    d = build_dos(s)
+    levels, mult = np.unique(d.knots, return_counts=True)
+    pts = critical_points(d)
+    assert [p.energy for p in pts] == levels[1:-1].tolist()
+    assert [p.discontinuity_order for p in pts] == (s.dim - 1 - mult[1:-1]).tolist()

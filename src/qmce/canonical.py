@@ -1,24 +1,39 @@
 """Canonical ensemble as the Laplace transform of the density of states.
 
-Z(beta) = integral of Omega(E) exp(-beta*E) dE.  Two evaluation paths:
+Z(beta) = integral of Omega(E) exp(-beta*E) dE, with beta = 1/(k_B T)
+and k_B = 1, matching the thermodynamic functions.
 
-* the literal closed form for nondegenerate spectra,
+Every canonical quantity comes from one log-domain table,
+``_canonical_table``.  It shifts Omega to the reference energy
+E_ref = E_min where beta >= 0 (E_max where beta < 0), so each factor
+exp(-beta*(E - E_ref)) is at most 1, and one
+``PiecewisePolynomial.laplace`` call gives the shifted moments
+
+    M_k = integral (E - E_ref)^k Omega(E) exp(-beta*(E - E_ref)) dE,
+
+k = 0, 1, 2, for a whole beta array.  From them
+
+    log Z = log M_0 - beta*E_ref,    U = E_ref + M_1/M_0,
+    Var(E) = M_2/M_0 - (M_1/M_0)^2 = -dU/dbeta,
+
+which hold wherever the spectrum sits; Z = M_0 exp(-beta*E_ref) itself
+saturates to 0 or inf only where it leaves the double range.
+``solve_thermal_energy`` inverts U(beta) = E by Newton steps on the same
+table (slope -Var), kept inside a bracket.
+
+The literal closed form for nondegenerate spectra,
   Z = sum_k exp(-beta*E_k) prod_{l != k} pi/(beta*(E_l - E_k)),
-  whose terms individually diverge like beta^{-n} as beta -> 0 and
-  cancel to ~n digits once beta*(spectral width) < 1;
-* the stable path: exact piecewise integration of the polynomial times
-  the exponential (cancellation-safe moment recurrences), good for any
-  beta > 0 and for degenerate spectra.
-
-The stable path is authoritative; the closed form is retained verbatim
-as a cross-check and used only in its comfort zone.  beta is in units
-of 1/(k_B T) with k_B = 1, matching the thermodynamic functions.
+whose terms individually diverge like beta^{-n} as beta -> 0 and cancel
+to ~n digits once beta*(spectral width) < 1, is retained verbatim as the
+paper's cross-check and used only in its comfort zone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dos import PiecewiseDos, build_dos
 from .errors import ConvergenceError, InvalidInputError, NoSolutionError
@@ -28,6 +43,9 @@ from .spectrum import Spectrum
 _SMALL_BETA_WIDTH = 1.0  # below beta*width = 1 the literal sum loses digits
 _MAX_BETA_WIDTH = 600.0  # exp range guard for the canonical solver
 _EPS = math.ulp(1.0)
+_TINY = np.finfo(float).tiny
+_NEWTON_RTOL = 1e-13  # step size, relative to max(beta, 1/width), that ends the solve
+_MAX_SOLVE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -43,6 +61,70 @@ class CanonicalEval:
     Z: float
     U: float
     method: str
+
+
+@dataclass(frozen=True)
+class _CanonicalTable:
+    """Canonical quantities over a beta array from one shifted transform.
+
+    e_ref is E_min where beta >= 0 and E_max where beta < 0; m0 is the
+    shifted partition function Z*exp(beta*e_ref); du = U - e_ref and var
+    = Var(E) = -dU/dbeta.  All fields have the shape of beta.
+    """
+
+    beta: np.ndarray
+    e_ref: np.ndarray
+    m0: np.ndarray
+    du: np.ndarray
+    var: np.ndarray
+
+    @property
+    def log_Z(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.m0) - self.beta * self.e_ref
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.e_ref + self.du
+
+    @property
+    def Z(self) -> np.ndarray:
+        """M_0 exp(-beta*e_ref); exp(log Z) only where that factor is not a
+        normal double, which saturates to 0 or inf outside the double range."""
+        with np.errstate(over="ignore", under="ignore"):
+            scale = np.exp(-self.beta * self.e_ref)
+            return np.where((scale >= _TINY) & (scale < math.inf), self.m0 * scale, np.exp(self.log_Z))
+
+
+def _poly_of(poly_or_dos) -> PiecewisePolynomial:
+    return poly_or_dos.poly if isinstance(poly_or_dos, PiecewiseDos) else poly_or_dos
+
+
+def _shifted_moments(poly: PiecewisePolynomial, beta, ref: float) -> np.ndarray:
+    shifted = PiecewisePolynomial(poly.breakpoints - ref, poly.coefficients)
+    return shifted.laplace(beta, (0, 1, 2))
+
+
+def _canonical_table(poly_or_dos, beta) -> _CanonicalTable:
+    """log Z, Z, U and Var(E) at every beta (any real scalar or array).
+
+    Accepts a PiecewiseDos or a composite PiecewisePolynomial (n-fold
+    systems).  One ``laplace`` call covers all betas of one sign.
+    """
+    poly = _poly_of(poly_or_dos)
+    b = np.asarray(beta, dtype=float)
+    lo, hi = poly.support
+    up = b >= 0.0
+    if up.all() or not up.any():
+        m = _shifted_moments(poly, b, lo if up.all() else hi)
+    else:
+        m = np.empty(b.shape + (3,))
+        m[up] = _shifted_moments(poly, b[up], lo)
+        m[~up] = _shifted_moments(poly, b[~up], hi)
+    du = m[..., 1] / m[..., 0]
+    return _CanonicalTable(
+        beta=b, e_ref=np.where(up, lo, hi), m0=m[..., 0], du=du, var=m[..., 2] / m[..., 0] - du * du
+    )
 
 
 def _literal_terms(s: Spectrum, beta: float) -> tuple[float, float]:
@@ -65,21 +147,20 @@ def _partition_eq9_literal(s: Spectrum, beta: float) -> float:
     return _literal_terms(s, beta)[0]
 
 
-def _closed_or_stable(s: Spectrum, beta: float, d: PiecewiseDos | None = None):
-    """(Z, method): the literal sum when well conditioned, else stable.
+def _closed_form(s: Spectrum, beta: float) -> float | None:
+    """The literal sum when well conditioned, else None.
 
-    Two rejections feed the fallback: the fixed small-beta threshold
-    (below beta*width = 1 the terms are guaranteed to cancel ~n digits)
-    and a runtime gauge — the literal value is kept only when
-    max|term| * n_levels * ulp stays below 1e-11 of the sum, i.e. when
-    rounding noise provably sits under the agreement tolerance.
+    Two rejections: the fixed small-beta threshold (below beta*width = 1
+    the terms are guaranteed to cancel ~n digits) and a runtime gauge —
+    the literal value is kept only when max|term| * n_levels * ulp stays
+    below 1e-11 of the sum, i.e. when rounding noise provably sits under
+    the agreement tolerance.
     """
     if s.nondegenerate and beta * s.width >= _SMALL_BETA_WIDTH:
         total, tmax = _literal_terms(s, beta)
         if tmax * s.dim * _EPS <= 1e-11 * total:
-            return total, "closed-form"
-    dd = build_dos(s) if d is None else d
-    return dd.poly.laplace(beta), "quadrature"
+            return total
+    return None
 
 
 def partition_closed(s: Spectrum, beta: float) -> float:
@@ -95,38 +176,38 @@ def partition_closed(s: Spectrum, beta: float) -> float:
         raise InvalidInputError(
             "closed form requires a nondegenerate spectrum; use partition_stable"
         )
-    return _closed_or_stable(s, beta)[0]
+    z = _closed_form(s, beta)
+    return partition_stable(build_dos(s), beta) if z is None else z
 
 
 def partition_stable(d: PiecewiseDos, beta: float) -> float:
-    """Z(beta) by exact piecewise integration; any beta > 0, any spectrum."""
+    """Z(beta) by exact piecewise integration; any beta > 0, any spectrum.
+
+    Saturates to 0 or inf where Z leaves the double range."""
     if beta <= 0.0:
         raise InvalidInputError("beta must be positive")
-    return d.poly.laplace(beta)
+    return float(_canonical_table(d, beta).Z)
 
 
 def thermal_energy(d: PiecewiseDos, beta: float) -> float:
     """Canonical mean energy U(beta) = -d ln Z/d beta, piecewise-exact."""
     if beta <= 0.0:
         raise InvalidInputError("beta must be positive")
-    return d.poly.laplace(beta, 1) / d.poly.laplace(beta, 0)
+    return float(_canonical_table(d, beta).U)
 
 
 def canonical_eval(source, beta: float) -> CanonicalEval:
     """One (beta, Z, U) row from a Spectrum or a prebuilt PiecewiseDos."""
     if beta <= 0.0:
         raise InvalidInputError("beta must be positive")
+    d = build_dos(source) if isinstance(source, Spectrum) else source
+    t = _canonical_table(d, beta)
+    z, method = float(t.Z), "quadrature"
     if isinstance(source, Spectrum):
-        s: Spectrum | None = source
-        d = build_dos(source)
-    else:
-        s, d = None, source
-    if s is not None:
-        z, method = _closed_or_stable(s, beta, d)
-    else:
-        z, method = d.poly.laplace(beta), "quadrature"
-    u = d.poly.laplace(beta, 1) / d.poly.laplace(beta, 0)
-    return CanonicalEval(beta=float(beta), Z=float(z), U=float(u), method=method)
+        literal = _closed_form(source, beta)
+        if literal is not None:
+            z, method = literal, "closed-form"
+    return CanonicalEval(beta=float(beta), Z=z, U=float(t.U), method=method)
 
 
 def nfold_dos(d: PiecewiseDos, n: int) -> PiecewisePolynomial:
@@ -151,58 +232,59 @@ def nfold_dos(d: PiecewiseDos, n: int) -> PiecewisePolynomial:
     return result
 
 
-def _mean_energy(poly: PiecewisePolynomial, beta: float, lo: float) -> float:
-    # solve on the support shifted to start at 0 so exp(-beta*E) cannot
-    # overflow for moderate beta of either sign
-    shifted = PiecewisePolynomial(poly.breakpoints - lo, poly.coefficients)
-    return shifted.laplace(beta, 1) / shifted.laplace(beta, 0) + lo
-
-
 def solve_thermal_energy(poly_or_dos, target: float) -> float:
     """The beta at which the canonical mean energy equals target.
 
-    U(beta) is strictly decreasing with range (support minimum,
-    support maximum), so the solution is unique; bracket expansion
-    followed by bisection.  Accepts a PiecewiseDos or a composite
-    PiecewisePolynomial (n-fold systems).
+    U(beta) is strictly decreasing with range (support minimum, support
+    maximum), so the solution is unique.  Safeguarded Newton: every step
+    reads U and dU/dbeta = -Var(E) from one ``_canonical_table`` call and
+    compares U - E_ref with target - E_ref, so the residual keeps its
+    digits at any offset.  A step that leaves the bracket is replaced by
+    bisection; |beta|*width is capped at _MAX_BETA_WIDTH.  Accepts a
+    PiecewiseDos or a composite PiecewisePolynomial (n-fold systems).
     """
-    poly = poly_or_dos.poly if isinstance(poly_or_dos, PiecewiseDos) else poly_or_dos
+    poly = _poly_of(poly_or_dos)
     lo, hi = poly.support
     if not lo < target < hi:
         raise InvalidInputError(
             f"target energy {target:g} must lie strictly inside ({lo:g}, {hi:g})"
         )
     width = hi - lo
-    step = 1.0 / width
-    beta_cap = _MAX_BETA_WIDTH / width
-    u0 = _mean_energy(poly, 0.0, lo)
+    t = _canonical_table(poly, 0.0)
+    u0 = float(t.U)
     if target == u0:
         return 0.0
-    if target < u0:
-        a, b = 0.0, step
-        while _mean_energy(poly, b, lo) > target:
-            a, b = b, 2.0 * b
-            if b > beta_cap:
-                raise ConvergenceError(
-                    "target too close to the spectral minimum for the canonical solver"
-                )
-    else:
-        a, b = -step, 0.0
-        while _mean_energy(poly, a, lo) < target:
-            b, a = a, 2.0 * a
-            if a < -beta_cap:
-                raise ConvergenceError(
-                    "target too close to the spectral maximum for the canonical solver"
-                )
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        if _mean_energy(poly, mid, lo) > target:
-            a = mid
+    # solve for g = |beta| on the side of the root: f(g) = sign*(U - target)
+    # falls from f(0) > 0 with slope -Var
+    sign, edge = (1.0, "minimum") if target < u0 else (-1.0, "maximum")
+    cap = _MAX_BETA_WIDTH / width
+    g, a, b, b_seen = 0.0, 0.0, cap, False
+    f, v = sign * (float(t.du) - (target - lo)), float(t.var)
+    for _ in range(_MAX_SOLVE_STEPS):
+        newton = g + f / v if v > 0.0 else math.inf
+        if a <= newton <= b and abs(newton - g) <= _NEWTON_RTOL * max(newton, 1.0 / width):
+            return sign * newton
+        if a < newton < b:
+            g = newton
+        elif b_seen:
+            g = 0.5 * (a + b)
+            if b - a <= _NEWTON_RTOL * max(b, 1.0 / width):
+                return sign * g
         else:
-            b = mid
-    return 0.5 * (a + b)
+            g = cap
+        t = _canonical_table(poly, sign * g)
+        f, v = sign * (float(t.du) - (target - float(t.e_ref))), float(t.var)
+        if f > 0.0:
+            if g == cap:
+                raise ConvergenceError(
+                    f"target too close to the spectral {edge} for the canonical solver"
+                )
+            a = g
+        elif f < 0.0:
+            b, b_seen = g, True
+        else:
+            return sign * g
+    raise ConvergenceError("canonical solver did not converge")
 
 
 def beta_temperature_consistency(poly_or_dos, e: float) -> tuple[float, float, float]:
@@ -214,7 +296,7 @@ def beta_temperature_consistency(poly_or_dos, e: float) -> tuple[float, float, f
     it shrinks as the system is composed with copies of itself (pass the
     n-fold polynomial and the total energy).
     """
-    poly = poly_or_dos.poly if isinstance(poly_or_dos, PiecewiseDos) else poly_or_dos
+    poly = _poly_of(poly_or_dos)
     lo, hi = poly.support
     e = float(e)
     if not lo < e < hi:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import partition_stable
+from .canonical import _canonical_table
 from .dos import build_dos, eval_dos, integrate_dos
 from .errors import ConvergenceError, QmceError
 from .grand import grand_dos, marginalize_to_energy
@@ -195,12 +195,19 @@ def cmd_canonical(args) -> int:
         betas = np.linspace(args.beta_min, args.beta_max, args.grid)
     if betas[0] <= 0.0:
         args.parser.error("beta must be positive")
+    t = _canonical_table(d, betas)
+    z = t.Z
     lines = ["beta,Z,U"]
-    for b in betas:
-        z = partition_stable(d, float(b))
-        u = d.poly.laplace(float(b), 1) / z
-        lines.append(f"{_fmt(b)},{_fmt(z)},{_fmt(u)}")
+    lines += [f"{_fmt(b)},{_fmt(zv)},{_fmt(u)}" for b, zv, u in zip(betas, z, t.U)]
     _write(args, "\n".join(lines) + "\n")
+    saturated = (z == 0.0) | np.isinf(z)
+    if saturated.any():
+        # stderr only: stdout stays pure CSV
+        bs = betas[saturated]
+        sys.stderr.write(
+            f"qmce: note: Z outside the double range on {int(saturated.sum())} of {betas.size} rows "
+            f"(beta {_fmt(bs.min())} to {_fmt(bs.max())}), printed as 0 or inf; U is unaffected\n"
+        )
     _gnuplot(args, f"plot '{args.out}' using 1:2 with lines title 'Z(beta)'")
     return 0
 

@@ -46,55 +46,61 @@ def _polyval(u, coeffs):
     return npp.polyval(u, coeffs)
 
 
-def _exp_moments(beta: float, h: float, mmax: int) -> np.ndarray:
+def _exp_moments(beta, h, mmax: int) -> np.ndarray:
     """I_m = integral of u^m * exp(-beta*u) over [0, h] for m = 0..mmax.
 
-    beta must be positive.  Two cancellation-free routes stitched at
-    z = beta*h = 100:
+    beta >= 0 and h > 0 are scalars or broadcastable arrays; the result
+    has their broadcast shape plus a trailing moment axis of mmax + 1.
+    I_m = h^{m+1} J_m(z) with z = beta*h and J_m(z) the integral of
+    t^m e^{-zt} over [0, 1], computed without cancellation for every z
+    at once (Gautschi's direction rule for J_m = (m J_{m-1} - e^{-z})/z):
 
-    * z <= 100: the all-positive series
-      I_m = h^{m+1} e^{-z} m! sum_j z^j / (m+j+1)!
-      (every term positive, so relative error stays at a few ulp even
-      as z -> 0, where the naive closed form loses all digits);
-    * z > 100: the complete-moment form
-      I_m = m!/beta^{m+1} * (1 - e^{-z} sum_{j<=m} z^j/j!),
-      whose correction term is tiny in this regime.
+    * z <= mmax + 1: the all-positive series
+      J_M = e^{-z} sum_j z^j / ((M+1)(M+2)...(M+1+j)), then downward
+      J_{m-1} = (z J_m + e^{-z})/m, which only adds positive terms;
+    * z > mmax + 1: upward from J_0 = -expm1(-z)/z, where every step
+      damps the error by m/z < 1.
     """
-    if beta <= 0.0 or h <= 0.0:
-        raise ValueError("beta and h must be positive")
+    beta = np.asarray(beta, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if np.any(beta < 0.0) or np.any(h <= 0.0):
+        raise ValueError("beta must be nonnegative and h positive")
     z = beta * h
-    out = np.empty(mmax + 1)
-    if z <= 100.0:
-        ez = math.exp(-z)
-        hp = h
-        for m in range(mmax + 1):
-            term = 1.0 / (m + 1)
-            total = term
-            j = 0
-            while True:
-                j += 1
-                term *= z / (m + j + 1)
-                total += term
-                if term <= 1e-18 * total:
-                    break
-            out[m] = hp * ez * total
-            hp *= h
-        return out
-    # z > 100: e^{-z} < 4e-44, the Poisson tail below m is negligible
-    # unless m is comparable to z (never the case for supported degrees).
-    ez = math.exp(-z) if z < 745.0 else 0.0
-    fact = 1.0
-    bp = beta
-    tail_term = 1.0
-    tail_sum = 1.0
-    for m in range(mmax + 1):
-        if m > 0:
-            fact *= m
-            bp *= beta
-            tail_term *= z / m
-            tail_sum += tail_term
-        out[m] = fact / bp * (1.0 - ez * tail_sum)
-    return out
+    j = np.empty(z.shape + (mmax + 1,))
+    down = z <= mmax + 1
+    zd = z[down]
+    term = np.full(zd.shape, 1.0 / (mmax + 1))
+    total = term.copy()
+    k = mmax + 1
+    # terms shrink monotonically; once all are below 0.2 ulp of their
+    # sums further terms leave every sum unchanged
+    while np.any(term > 1e-17 * total):
+        k += 1
+        term = term * zd / k
+        total += term
+    ez = np.exp(-zd)
+    jd = np.empty(zd.shape + (mmax + 1,))
+    jd[:, mmax] = ez * total
+    for m in range(mmax, 0, -1):
+        jd[:, m - 1] = (zd * jd[:, m] + ez) / m
+    j[down] = jd
+    zu = z[~down]
+    ez = np.exp(-zu)
+    ju = np.empty(zu.shape + (mmax + 1,))
+    ju[:, 0] = -np.expm1(-zu) / zu
+    for m in range(1, mmax + 1):
+        ju[:, m] = (m * ju[:, m - 1] - ez) / zu
+    j[~down] = ju
+    j *= h[..., None] ** np.arange(1, mmax + 2)
+    return j
+
+
+def _binomial_reflection(n: int) -> np.ndarray:
+    """R with (d @ R)[l] = (-1)^l sum_i C(i, l) d[i]: the coefficients of
+    q(t) = p(1 - t) from those of p, both on [0, 1]."""
+    return np.array(
+        [[(-1.0) ** l * math.comb(i, l) for l in range(n)] for i in range(n)]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,43 +251,49 @@ class PiecewisePolynomial:
 
     # -- transforms ----------------------------------------------------
 
-    def laplace(self, beta: float, moment: int = 0) -> float:
-        """integral of x^moment * p(x) * exp(-beta*x) over the support.
+    def laplace(self, beta, moment=0):
+        """integral of x^k * p(x) * exp(-beta*x) over the support, k = moment.
 
-        Exact per piece (polynomial times exponential antiderivative via
-        the cancellation-safe moments of ``_exp_moments``); any real beta
-        is accepted, with beta < 0 handled by reflecting each piece onto
-        its right endpoint so the exponential always decays.
+        beta is any real scalar or array: a scalar gives a float, an array
+        an array of its shape.  moment is 0, 1 or 2, or a sequence of
+        them, which stacks the moments on a trailing axis.  Each call
+        builds one (beta, piece, moment) table of ``_exp_moments`` in the
+        unit variable t = (x - b_j)/h_j; for beta < 0 every piece is
+        reflected onto its right endpoint, t -> 1 - t, so the exponential
+        always decays.  The factors exp(-beta*anchor) are not rescaled:
+        callers that need a reference shift (``_canonical_table``) shift
+        the breakpoints first.
         """
-        if moment not in (0, 1):
-            raise ValueError("moment must be 0 or 1")
+        ks = np.atleast_1d(np.asarray(moment))
+        if not np.isin(ks, (0, 1, 2)).all():
+            raise ValueError("moment must be 0, 1 or 2")
+        b = np.asarray(beta, dtype=float)
+        flat = b.reshape(-1, 1)
+        neg = flat < 0.0
         bp = self.breakpoints
-        total = 0.0
-        for j in range(self.npieces):
-            a = bp[j]
-            h = bp[j + 1] - a
-            c = self.coefficients[j]
-            if beta == 0.0:
-                mm = np.arange(c.size + moment + 1)
-                im = h ** (mm + 1) / (mm + 1)
-                pref, cc, anchor = 1.0, c, a
-            elif beta > 0.0:
-                im = _exp_moments(beta, h, c.size + moment)
-                pref, cc, anchor = math.exp(-beta * a), c, a
-            else:
-                # reflect: u = h - v turns exp growth into decay
-                cc = _compose_linear(c, h, -1.0)
-                im = _exp_moments(-beta, h, cc.size + moment)
-                pref, anchor = math.exp(-beta * (a + h)), a + h
-            base = float(np.dot(cc, im[: cc.size]))
-            if moment == 0:
-                total += pref * base
-            else:
-                first = float(np.dot(cc, im[1 : cc.size + 1]))
-                if beta < 0.0:
-                    first = -first  # x = anchor - v on the reflected piece
-                total += pref * (anchor * base + first)
-        return total
+        h = np.diff(bp)
+        n = self.degree + 1
+        d = self.coefficients * h[:, None] ** np.arange(n)  # coefficients in t
+        if neg.any():
+            d = np.where(neg[..., None], (d @ _binomial_reflection(n))[None], d[None])
+        anchor = np.where(neg, bp[1:], bp[:-1])
+        sign = np.where(neg, -1.0, 1.0)
+        jm = _exp_moments(np.abs(flat) * h, 1.0, n + 1)
+        s0, s1, s2 = (h ** (l + 1) * np.sum(d * jm[..., l : l + n], axis=-1) for l in range(3))
+        with np.errstate(over="ignore"):
+            w = np.exp(-flat * anchor)
+        # x = anchor + sign*h*t on every piece
+        per_piece = {
+            0: s0,
+            1: anchor * s0 + sign * s1,
+            2: anchor * anchor * s0 + 2.0 * sign * anchor * s1 + s2,
+        }
+        out = np.stack([np.sum(w * per_piece[k], axis=-1) for k in ks.tolist()], axis=-1)
+        out = out.reshape(b.shape + ks.shape)
+        if np.ndim(moment) == 0:
+            out = out[..., 0]
+            return float(out) if b.ndim == 0 else out
+        return out
 
     def convolve(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
         """Exact convolution (f*g)(x) = integral f(t) g(x-t) dt.

@@ -22,6 +22,7 @@ from qmce import (
     thermal_energy,
 )
 from qmce.canonical import _partition_eq9_literal
+from qmce.canonical import _canonical_table
 
 S2 = make_spectrum([0.0, 1.0])
 S3 = make_spectrum([0.0, 1.0, 2.0])
@@ -269,6 +270,26 @@ def test_solver_roundtrip(rng):
             else:
                 u = d.poly.laplace(beta, 1) / d.poly.laplace(beta, 0)
                 assert u == pytest.approx(e, abs=1e-11 * (d.e_max - d.e_min))
+
+
+@pytest.mark.parametrize("c", [2.0**10, -(2.0**10), 2.0**20, -(2.0**20)])
+def test_shift_invariance(c):
+    # dyadic levels, so E + c is exact: shifting the spectrum by c shifts U
+    # by c, log Z by -beta*c, and leaves the solved beta unchanged.  The
+    # shifted U and log Z are doubles of magnitude ~|c| and ~|beta*c|, so
+    # their tolerances carry one rounding at that magnitude: ulp(c) for U
+    # (2.3e-10 at 2^20, above 1e-12*W) and |log Z(E+c)| for log Z.
+    es = [0.0, 0.25, 0.5, 1.5, 2.0]
+    width = 2.0
+    d0 = build_dos(make_spectrum(es))
+    dc = build_dos(make_spectrum([e + c for e in es]))
+    betas = np.array([-60.0, -4.0, -0.5, -0.01, 0.0, 0.01, 0.5, 4.0, 60.0, 300.0]) / width
+    t0, tc = _canonical_table(d0, betas), _canonical_table(dc, betas)
+    assert np.all(np.abs((tc.U - c) - t0.U) <= 1e-12 * width + math.ulp(c))
+    assert np.all(np.abs((tc.log_Z + betas * c) - t0.log_Z) <= 1e-12 * (1.0 + np.abs(tc.log_Z)))
+    for target in (0.125, 0.375, 0.8125, 1.25, 1.875):
+        beta = solve_thermal_energy(d0, target)
+        assert solve_thermal_energy(dc, target + c) == pytest.approx(beta, rel=1e-10)
 
 
 # -- n-fold composition ---------------------------------------------------

@@ -161,6 +161,26 @@ def test_canonical_rejects_nonpositive_beta(capsys):
     assert run(capsys, ["canonical", "--levels", "0,1"])[0] == 1
 
 
+def test_canonical_offset_levels(capsys):
+    # Z = e^{-beta c} Z_0 leaves the double range at |c| = 1000; the row
+    # prints the saturated Z, the shifted U, and one note on stderr
+    code, out, _ = run(capsys, ["canonical", "--levels", "0,1,2", "--beta", "1"])
+    assert code == 0
+    u_ref = float(data_rows(out)[1][2])
+    for argv, c, z_text in (
+        (["--levels", "1000,1001,1002"], 1000.0, "0"),
+        (["--levels=-1000,-999,-998"], -1000.0, "inf"),
+    ):
+        code, out, err = run(capsys, ["canonical", *argv, "--beta", "1"])
+        assert code == 0
+        rows = data_rows(out)
+        assert len(rows) == 2 and rows[1][1] == z_text
+        u = float(rows[1][2])
+        assert math.isfinite(u)
+        assert u == pytest.approx(c + u_ref, abs=1e-12 * 2.0)
+        assert len(err.splitlines()) == 1 and "1 of 1 rows" in err
+
+
 # -- mc-verify -------------------------------------------------------------
 
 

@@ -126,6 +126,18 @@ class TestLaplace:
             )
             assert p.laplace(beta) == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "poly",
+        [two_piece(), build_dos(make_spectrum(list(np.linspace(0.0, 3.0, 12) ** 1.3))).poly],
+        ids=["two_piece", "dos_dim12"],
+    )
+    def test_array_beta_is_the_scalar_path(self, poly):
+        # one table per call: every entry of an array call is bit-identical
+        # to the scalar call at that beta, for each supported moment
+        betas = [-40.0, -3.0, -0.5, -1e-9, 0.0, 1e-9, 0.7, 5.0, 40.0, 300.0]
+        for k in (0, 1, 2):
+            assert poly.laplace(np.array(betas), k).tolist() == [poly.laplace(b, k) for b in betas]
+
 
 class TestConvolve:
     def test_uniform_uniform_is_triangle(self):

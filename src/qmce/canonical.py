@@ -18,8 +18,9 @@ k = 0, 1, 2, for a whole beta array.  From them
 
 which hold wherever the spectrum sits; Z = M_0 exp(-beta*E_ref) itself
 saturates to 0 or inf only where it leaves the double range.
-``solve_thermal_energy`` inverts U(beta) = E by Newton steps on the same
-table (slope -Var), kept inside a bracket.
+``solve_thermal_energy`` inverts U(beta) = E by safeguarded Newton steps
+on the same table (slope -Var), with the root finder that also serves the
+microcanonical solves (``roots.decreasing_root``).
 
 The literal closed form for nondegenerate spectra,
   Z = sum_k exp(-beta*E_k) prod_{l != k} pi/(beta*(E_l - E_k)),
@@ -36,16 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dos import PiecewiseDos, build_dos
-from .errors import ConvergenceError, InvalidInputError, NoSolutionError
+from .errors import InvalidInputError, NoSolutionError
 from .piecewise import PiecewisePolynomial
+from .roots import decreasing_root
 from .spectrum import Spectrum
 
 _SMALL_BETA_WIDTH = 1.0  # below beta*width = 1 the literal sum loses digits
 _MAX_BETA_WIDTH = 600.0  # exp range guard for the canonical solver
 _EPS = math.ulp(1.0)
 _TINY = np.finfo(float).tiny
-_NEWTON_RTOL = 1e-13  # step size, relative to max(beta, 1/width), that ends the solve
-_MAX_SOLVE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -236,12 +236,14 @@ def solve_thermal_energy(poly_or_dos, target: float) -> float:
     """The beta at which the canonical mean energy equals target.
 
     U(beta) is strictly decreasing with range (support minimum, support
-    maximum), so the solution is unique.  Safeguarded Newton: every step
-    reads U and dU/dbeta = -Var(E) from one ``_canonical_table`` call and
-    compares U - E_ref with target - E_ref, so the residual keeps its
-    digits at any offset.  A step that leaves the bracket is replaced by
-    bisection; |beta|*width is capped at _MAX_BETA_WIDTH.  Accepts a
-    PiecewiseDos or a composite PiecewisePolynomial (n-fold systems).
+    maximum), so the solution is unique.  ``roots.decreasing_root`` finds
+    it in g = |beta| on the side of the root: every step reads U and
+    dU/dbeta = -Var(E) from one ``_canonical_table`` call and compares
+    U - E_ref with target - E_ref, so the residual keeps its digits at
+    any offset.  |beta|*width is capped at _MAX_BETA_WIDTH; the cap is
+    evaluated only when a step would pass it, and a root beyond it raises
+    ConvergenceError.  Accepts a PiecewiseDos or a composite
+    PiecewisePolynomial (n-fold systems).
     """
     poly = _poly_of(poly_or_dos)
     lo, hi = poly.support
@@ -257,34 +259,17 @@ def solve_thermal_energy(poly_or_dos, target: float) -> float:
     # solve for g = |beta| on the side of the root: f(g) = sign*(U - target)
     # falls from f(0) > 0 with slope -Var
     sign, edge = (1.0, "minimum") if target < u0 else (-1.0, "maximum")
-    cap = _MAX_BETA_WIDTH / width
-    g, a, b, b_seen = 0.0, 0.0, cap, False
-    f, v = sign * (float(t.du) - (target - lo)), float(t.var)
-    for _ in range(_MAX_SOLVE_STEPS):
-        newton = g + f / v if v > 0.0 else math.inf
-        if a <= newton <= b and abs(newton - g) <= _NEWTON_RTOL * max(newton, 1.0 / width):
-            return sign * newton
-        if a < newton < b:
-            g = newton
-        elif b_seen:
-            g = 0.5 * (a + b)
-            if b - a <= _NEWTON_RTOL * max(b, 1.0 / width):
-                return sign * g
-        else:
-            g = cap
-        t = _canonical_table(poly, sign * g)
-        f, v = sign * (float(t.du) - (target - float(t.e_ref))), float(t.var)
-        if f > 0.0:
-            if g == cap:
-                raise ConvergenceError(
-                    f"target too close to the spectral {edge} for the canonical solver"
-                )
-            a = g
-        elif f < 0.0:
-            b, b_seen = g, True
-        else:
-            return sign * g
-    raise ConvergenceError("canonical solver did not converge")
+
+    def residual(tab: _CanonicalTable) -> tuple[float, float]:
+        return sign * (float(tab.du) - (target - float(tab.e_ref))), -float(tab.var)
+
+    g = decreasing_root(
+        lambda g: residual(_canonical_table(poly, sign * g)),
+        0.0, _MAX_BETA_WIDTH / width, 1.0 / width,
+        start=(0.0, *residual(t)),
+        far_error=f"target too close to the spectral {edge} for the canonical solver",
+    )
+    return sign * g
 
 
 def beta_temperature_consistency(poly_or_dos, e: float) -> tuple[float, float, float]:

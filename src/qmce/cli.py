@@ -152,6 +152,8 @@ def cmd_thermo(args) -> int:
     t_given = args.t_min is not None or args.t_max is not None
     if e_given and t_given:
         args.parser.error("give an E range or a T range, not both")
+    if kb <= 0.0:
+        args.parser.error("--kb must be positive")
     if t_given:
         if args.t_min is None or args.t_max is None:
             args.parser.error("--t-min and --t-max go together")

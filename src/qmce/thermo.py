@@ -5,11 +5,12 @@ entropy and specific heat in units of k_B.  A single recorded scale
 (ThermoCurve.kB) converts for display; the stored arrays always use
 k_B = 1.
 
-Log-concavity of Omega (a spline density with nonnegative weights)
-underpins the numerics: beta = Omega'/Omega is nonincreasing in E, so
-T(E) is monotone on each side of the mode and root finding is
-bisection-safe, C >= 0, and the two-system entropy objective of
-``equilibrate`` is concave in the exchanged energy.
+Omega is log-concave (Prekopa, Acta Sci. Math. 34, 1973), so beta =
+Omega'/Omega is nonincreasing in E and C >= 0.  Both solves here are
+therefore the root of a nonincreasing function, found by the one
+safeguarded-Newton routine ``roots.decreasing_root`` that also solves the
+canonical U(beta) = E: beta(E) = 1/T for ``energy_of_temperature`` and
+beta_1 = beta_2 for ``equilibrate``.
 
 Smoothness at a knot is an exact property of the spline, not something
 measured: at an interior level of multiplicity m in dimension N the
@@ -29,8 +30,7 @@ import numpy as np
 from .dos import PiecewiseDos
 from .errors import InvalidInputError, NoSolutionError
 from .piecewise import PiecewisePolynomial
-
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+from .roots import _RTOL, decreasing_root
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +86,27 @@ def _noise_floor(poly: PiecewisePolynomial, x: float) -> float:
     xi = x - bp[j]
     c = np.abs(poly.coefficients[j])
     return 16.0 * math.ulp(1.0) * float(np.sum(c * xi ** np.arange(c.size)))
+
+
+def _beta(poly: PiecewisePolynomial, x: float) -> tuple[float, float]:
+    """beta = Omega'/Omega and dbeta/dE at x.
+
+    Where Omega does not clear its rounding noise beta is +inf in the
+    lower half of the support and -inf in the upper half, with slope 0.
+    """
+    w, w1, w2 = (poly.value(x, k) for k in range(3))
+    if w <= _noise_floor(poly, x):
+        lo, hi = poly.support
+        return (math.inf if x - lo < hi - x else -math.inf), 0.0
+    beta = w1 / w
+    return beta, w2 / w - beta * beta
+
+
+def _onto_knot(poly: PiecewisePolynomial, x: float, tol: float) -> float:
+    """x moved onto the nearest breakpoint when that lies within tol."""
+    bp = poly.breakpoints
+    k = float(bp[np.abs(bp - x).argmin()])
+    return k if abs(k - x) <= tol else x
 
 
 def _multiplicity(d: PiecewiseDos, e: float) -> int:
@@ -173,11 +194,13 @@ def energy_of_temperature(d: PiecewiseDos, t, branch: str = "first-monotone") ->
 
     'first-monotone' is the positive-temperature interval (E_min,
     E_mode) with E_mode the smallest maximizer of Omega; 'negative'
-    is (E_mode', E_max) beyond the largest maximizer.  Bisection on the
-    monotone branch brackets the root of Omega - t*Omega', a Newton
-    polish with exact derivatives finishes it, and the residual is
-    required to meet 1e-12 relative — a temperature that falls inside
-    a jump of T(E) at a knot is reported as unattainable.
+    is (E_mode', E_max) beyond the largest maximizer.  beta(E) - 1/t is
+    nonincreasing on the branch, and ``decreasing_root`` finds its root
+    in u = E - (branch start) with slope beta'(E).  beta jumps only at a
+    level of multiplicity N-2, which is the mode and so a branch end, so
+    every temperature in the reported range is attained.  A root where
+    Omega is below its rounding noise (near the support edges of high
+    dimensions) cannot be resolved and raises NoSolutionError.
     """
     t = float(t)
     if branch not in ("first-monotone", "negative"):
@@ -199,7 +222,7 @@ def energy_of_temperature(d: PiecewiseDos, t, branch: str = "first-monotone") ->
                 f"kB*T = {t:g} not attainable; the increasing branch covers "
                 f"(0, {sup:g}]"
             )
-        a, b, lsign = d.e_min, x_lo, -1.0
+        a, b = d.e_min, x_lo
     else:
         if not x_hi < d.e_max:
             raise NoSolutionError(
@@ -212,40 +235,18 @@ def energy_of_temperature(d: PiecewiseDos, t, branch: str = "first-monotone") ->
                 f"kB*T = {t:g} not attainable; the negative branch covers "
                 f"[{low:g}, 0)"
             )
-        a, b, lsign = x_hi, d.e_max, 1.0
+        a, b = x_hi, d.e_max
 
-    def g(x: float) -> float:
-        return d.poly.value(x) - t * d.poly.derivative_value(x, 1)
+    def f(u: float) -> tuple[float, float]:
+        beta, slope = _beta(d.poly, a + u)
+        return beta - 1.0 / t, slope
 
-    for _ in range(90):
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        if g(mid) * lsign > 0.0:
-            a = mid
-        else:
-            b = mid
-    x = 0.5 * (a + b)
-    for _ in range(8):
-        gp = d.poly.derivative_value(x, 1) - t * d.poly.derivative_value(x, 2)
-        if gp == 0.0:
-            break
-        step = g(x) / gp
-        nxt = x - step
-        if not a <= nxt <= b:
-            break
-        x = nxt
-        if abs(step) <= 1e-16 * width:
-            break
-    l0, r0 = d.poly.one_sided(x, 0)
-    l1v, r1v = d.poly.one_sided(x, 1)
-    res = min(abs(l0 - t * l1v), abs(r0 - t * r1v))
-    scale = max(abs(l0), abs(r0), abs(t * l1v), abs(t * r1v), 1e-300)
-    if res > 1e-12 * scale:
+    try:
+        return float(a + decreasing_root(f, 0.0, b - a, width))
+    except NoSolutionError:
         raise NoSolutionError(
-            f"kB*T = {t:g} falls inside a temperature jump at E = {x:.17g}"
-        )
-    return float(x)
+            f"kB*T = {t:g} is reached only where Omega is below its rounding noise"
+        ) from None
 
 
 def thermo_curve(d: PiecewiseDos, n: int = 1000, e_range=None, kb: float = 1.0) -> ThermoCurve:
@@ -302,12 +303,13 @@ def equilibrate(
 ) -> EquilibrationResult:
     """Maximize N1 ln Omega1(E1 + eps/N1) + N2 ln Omega2(E2 - eps/N2).
 
-    Golden-section search on the concave entropy localizes the optimum,
-    then a safeguarded Newton iteration on the stationarity condition
-    beta1 = beta2 (monotone in eps) polishes it.  At an interior smooth
-    optimum the returned temperatures agree; an optimum pinned at a
-    knot where beta jumps is returned as-is with one-sided (right)
-    temperatures, and a maximum at the feasibility edge sets the
+    The stationarity condition beta1 - beta2 = 0 is nonincreasing in
+    eps, so ``decreasing_root`` solves it from the bracket midpoint with
+    slope beta1'/N1 + beta2'/N2.  At an interior smooth optimum the
+    returned temperatures agree.  An optimum pinned at a knot where beta
+    jumps is returned within the solver tolerance of the knot, and its
+    temperatures are the one-sided (right) values at the knot, whichever
+    side the solve ended on.  A maximum at the feasibility edge sets the
     boundary flag.
     """
     if int(n1) != n1 or int(n2) != n2 or n1 < 1 or n2 < 1:
@@ -319,101 +321,44 @@ def equilibrate(
     lo = max(n1 * (d1.e_min - e1), n2 * (e2 - d2.e_max))
     hi = min(n1 * (d1.e_max - e1), n2 * (e2 - d2.e_min))
     span = hi - lo
-    inset = 1e-13 * span
 
     def xs(eps: float) -> tuple[float, float]:
         return e1 + eps / n1, e2 - eps / n2
 
-    def entropy(eps: float) -> float:
+    def gap(eps: float) -> tuple[float, float]:
         x1, x2 = xs(eps)
-        w1v, w2v = d1.poly.value(x1), d2.poly.value(x2)
-        if w1v <= 0.0 or w2v <= 0.0:
-            return -math.inf
-        return n1 * math.log(w1v) + n2 * math.log(w2v)
+        (b1, s1), (b2, s2) = _beta(d1.poly, x1), _beta(d2.poly, x2)
+        return b1 - b2, s1 / n1 + s2 / n2
 
-    def beta(d: PiecewiseDos, x: float) -> float:
-        w = d.poly.value(x)
-        if w <= 0.0:
-            return math.inf if x - d.e_min < d.e_max - x else -math.inf
-        return d.poly.derivative_value(x, 1) / w
+    def inward(edge: float, sign: float) -> tuple[float, float]:
+        # near the outer end of a piece the polynomial evaluates by
+        # cancellation and Omega drowns in rounding noise, where _beta is
+        # infinite; push each probe inward until both betas are real so
+        # the bracketing signs are
+        inset = 1e-13 * span
+        while not math.isfinite(g := gap(edge + sign * inset)[0]) and inset < 0.015625 * span:
+            inset *= 8.0
+        return edge + sign * inset, g
 
-    def beta_prime(d: PiecewiseDos, x: float) -> float:
-        w = d.poly.value(x)
-        if w <= 0.0:
-            return 0.0
-        w1 = d.poly.derivative_value(x, 1)
-        w2 = d.poly.derivative_value(x, 2)
-        return (w2 * w - w1 * w1) / (w * w)
-
-    def gap(eps: float) -> float:
-        x1, x2 = xs(eps)
-        return beta(d1, x1) - beta(d2, x2)
-
-    def trusted(eps: float) -> bool:
-        x1, x2 = xs(eps)
-        return (
-            d1.poly.value(x1) > _noise_floor(d1.poly, x1)
-            and d2.poly.value(x2) > _noise_floor(d2.poly, x2)
-        )
-
-    # near the outer end of a piece the polynomial evaluates by
-    # cancellation and Omega drowns in rounding noise, making beta
-    # garbage there; push each probe inward until both values clear
-    # their noise floors so the bracketing signs are real
-    inset_a = inset
-    while not trusted(lo + inset_a) and inset_a < 0.015625 * span:
-        inset_a *= 8.0
-    inset_b = inset
-    while not trusted(hi - inset_b) and inset_b < 0.015625 * span:
-        inset_b *= 8.0
-    a, b = lo + inset_a, hi - inset_b
-    ga, gb = gap(a), gap(b)
-    if not ga > 0.0 > gb:
+    (a, ga), (b, gb) = inward(lo, 1.0), inward(hi, -1.0)
+    boundary = not ga > 0.0 > gb
+    if boundary:
         # entropy is monotone across the whole feasible interval
         eps = a if ga <= 0.0 else b
-        boundary = True
+        x1, x2 = xs(eps)
     else:
-        boundary = False
-        tol = max(1e-10 * n1 * (d1.e_max - d1.e_min), 4e-16 * span)
-        ga_, gb_ = a, b
-        c = gb_ - _GOLD * (gb_ - ga_)
-        dd = ga_ + _GOLD * (gb_ - ga_)
-        fc, fd = entropy(c), entropy(dd)
-        while gb_ - ga_ > tol:
-            if fc >= fd:
-                gb_, dd, fd = dd, c, fc
-                c = gb_ - _GOLD * (gb_ - ga_)
-                fc = entropy(c)
-            else:
-                ga_, c, fc = c, dd, fd
-                dd = ga_ + _GOLD * (gb_ - ga_)
-                fd = entropy(dd)
-        # Newton polish on the stationarity condition, safeguarded by
-        # the full feasible bracket (gap(a) > 0 > gap(b) holds there);
-        # at a knot where beta jumps the fallback bisection takes over
-        eps = 0.5 * (ga_ + gb_)
-        for _ in range(80):
-            gm = gap(eps)
-            if gm > 0.0:
-                a = eps
-            elif gm < 0.0:
-                b = eps
-            else:
-                break
-            x1, x2 = xs(eps)
-            gp = beta_prime(d1, x1) / n1 + beta_prime(d2, x2) / n2
-            nxt = eps - gm / gp if gp != 0.0 else 0.5 * (a + b)
-            if not a < nxt < b:
-                nxt = 0.5 * (a + b)
-            if abs(nxt - eps) <= 4e-16 * max(abs(eps), span):
-                eps = nxt
-                break
-            eps = nxt
-    x1, x2 = xs(eps)
+        eps = decreasing_root(gap, a, b, span)
+        # a position within the solver tolerance of a knot is put on it,
+        # where value() is right-sided, so a kink optimum reports the
+        # same temperatures from either side
+        tol = _RTOL * max(abs(eps), span)
+        x1, x2 = xs(eps)
+        x1, x2 = _onto_knot(d1.poly, x1, tol / n1), _onto_knot(d2.poly, x2, tol / n2)
+    w1, w2 = d1.poly.value(x1), d2.poly.value(x2)
     return EquilibrationResult(
         epsilon=float(eps),
-        t1=float(_temperature_of(d1.poly.value(x1), d1.poly.value(x1, 1))),
-        t2=float(_temperature_of(d2.poly.value(x2), d2.poly.value(x2, 1))),
-        total_entropy=entropy(eps),
+        t1=float(_temperature_of(w1, d1.poly.value(x1, 1))),
+        t2=float(_temperature_of(w2, d2.poly.value(x2, 1))),
+        total_entropy=n1 * math.log(w1) + n2 * math.log(w2) if w1 > 0.0 and w2 > 0.0 else -math.inf,
         boundary=boundary,
     )

@@ -130,6 +130,25 @@ def test_thermo_range_conflicts(capsys):
     assert run(capsys, base + ["--t-min", "1e9", "--t-max", "2e9"])[0] == 1  # unattainable
 
 
+@pytest.mark.parametrize("kb", ["0", "-1"])
+def test_thermo_kb_checked_before_t_range(kb, capsys):
+    code, _, err = run(
+        capsys, ["thermo", "--levels", "0,1,2,3", "--kb", kb, "--t-min", "0.1", "--t-max", "0.4"]
+    )
+    assert code == 1
+    assert "kb" in err
+
+
+def test_thermo_t_range_at_offset(capsys):
+    # no level of this spectrum makes T(E) jump; the range lies on the
+    # smooth increasing branch however far the spectrum sits from zero
+    levels = "--levels=1048576,1048576.25,1048576.5,1048577.5,1048578"
+    code, out, _ = run(capsys, ["thermo", levels, "--grid", "16", "--t-min", "0.05", "--t-max", "0.4"])
+    assert code == 0
+    body = np.array([[float(v) for v in r] for r in data_rows(split_blocks(out, "criticals")[0])[1:]])
+    assert np.all((body[:, 2] >= 0.05) & (body[:, 2] <= 0.4))
+
+
 # -- canonical -----------------------------------------------------------
 
 

@@ -285,3 +285,85 @@ def test_critical_points_order_from_multiplicity(s):
     pts = critical_points(d)
     assert [p.energy for p in pts] == levels[1:-1].tolist()
     assert [p.discontinuity_order for p in pts] == (s.dim - 1 - mult[1:-1]).tolist()
+
+
+@pytest.mark.parametrize("c", [2.0**10, -(2.0**10), 2.0**20, -(2.0**20)])
+def test_solves_shift_invariance(c):
+    # dyadic levels and energies, so E + c is exact: shifting both
+    # spectra by c shifts every solved energy by c and leaves the
+    # temperatures alone.  The solved energies are doubles of magnitude
+    # ~|c|, so the tolerances carry the rounding r = ulp(c)/2 of a shifted
+    # position.  In equilibrate, rounding x1 and x2 moves the root of
+    # beta1 - beta2 by at most max(N1, N2)*r, and a position error dx
+    # moves T by dx*dT/dE = dx/C.
+    spectra = ([0.0, 0.25, 0.5, 1.5, 2.0], [0.0, 0.75, 1.0, 2.5])
+    r = 0.5 * math.ulp(c)
+    base, shifted = [], []
+    for es in spectra:
+        base.append(build_dos(make_spectrum(es)))
+        shifted.append(build_dos(make_spectrum([e + c for e in es])))
+        width = es[-1] - es[0]
+        for t in (0.05, 0.2, 0.4):
+            e0 = energy_of_temperature(base[-1], t)
+            assert abs(energy_of_temperature(shifted[-1], t) - c - e0) <= 1e-12 * width + 4.0 * r
+    (d1, d2), (s1, s2) = base, shifted
+    n1, n2 = 3, 2
+    for e1, e2 in ((0.25, 0.5), (1.0, 2.0)):
+        hi = min(n1 * (d1.e_max - e1), n2 * (e2 - d2.e_min))
+        span = hi - max(n1 * (d1.e_min - e1), n2 * (e2 - d2.e_max))
+        r0 = equilibrate(d1, e1, n1, d2, e2, n2)
+        rc = equilibrate(s1, e1 + c, n1, s2, e2 + c, n2)
+        assert not r0.boundary and not rc.boundary
+        tol_eps = 1e-12 * span + max(n1, n2) * r
+        assert abs(rc.epsilon - r0.epsilon) <= tol_eps
+        sides = ((d1, e1 + r0.epsilon / n1, n1, r0.t1, rc.t1), (d2, e2 - r0.epsilon / n2, n2, r0.t2, rc.t2))
+        for d, x, n, t0, tc in sides:
+            dx = r + tol_eps / n
+            assert abs(tc - t0) <= 1e-12 * abs(t0) + dx / specific_heat_at_E(d, x)
+
+
+@pytest.mark.parametrize("dim", [48, 64])
+def test_energy_of_temperature_where_omega_is_tiny(dim):
+    # below the second level Omega = c*(E - E_min)^(N-2), so beta =
+    # (N-2)/(E - E_min) and T is reached at E_min + (N-2)*T exactly, where
+    # Omega is as small as 1e-300.  Above the second-highest level Omega
+    # is c*(E_max - E)^(N-2) but evaluates by cancellation: the negative
+    # branch finds the same exact root or reports Omega's rounding noise.
+    width = 4.0
+    d = build_dos(make_spectrum([0.0, *np.linspace(1.0, width, dim - 1)]))
+    for t in (1e-4 * width, 1e-5 * width, 1e-6 * width):
+        assert abs(energy_of_temperature(d, t) - (dim - 2) * t) <= 1e-12 * width
+        try:
+            e = energy_of_temperature(d, -t, branch="negative")
+        except NoSolutionError:
+            continue
+        assert abs(e - (width - (dim - 2) * t)) <= 1e-12 * width
+
+
+def test_energy_of_temperature_skips_a_noise_sign_change():
+    # near the top of this spectrum the computed Omega is rounding noise
+    # and changes sign, so the computed beta - 1/T changes sign at E ≈
+    # 103.782 as well; the root (103.656721107843 by mpmath) lies where
+    # Omega still carries ~4e-6 of relative error, which bounds the match
+    levels = [
+        (100.03540681210455, 1), (100.15627644162333, 3), (100.18670057906668, 1),
+        (101.38828474433936, 2), (102.12485556219265, 1), (102.16952728163373, 1),
+        (102.6399563488964, 1), (102.89237122996734, 2), (103.79515126175177, 2),
+    ]
+    d = build_dos(make_spectrum(levels))
+    e = energy_of_temperature(d, -0.01267788227000632, branch="negative")
+    assert abs(e - 103.656721107843) <= 1e-6 * (d.e_max - d.e_min)
+
+
+def test_equilibrate_kink_reports_right_sided_temperatures():
+    # beta of (0, 1, 1, 1, 2) jumps from 3 to -3 at E = 1 and beta of
+    # system 2 stays in between, so the optimum is pinned at x1 = 1; the
+    # solve reaches it from either side, the reported T1 is the right limit
+    d1 = build_dos(make_spectrum([0.0, 1.0, 1.0, 1.0, 2.0]))
+    d2 = build_dos(make_spectrum([0.0, 1.0, 2.0, 3.0]))
+    right = temperature(d1, 1.0, side="right")
+    for e1, n1 in ((0.3, 1), (0.3, 2), (0.45, 1), (0.6, 2), (0.7, 3), (1.3, 1), (1.6, 3)):
+        r = equilibrate(d1, e1, n1, d2, 1.4, 2)
+        assert not r.boundary
+        assert abs(e1 + r.epsilon / n1 - 1.0) <= 1e-12
+        assert r.t1 == right

@@ -101,8 +101,7 @@ def _poly_of(poly_or_dos) -> PiecewisePolynomial:
 
 
 def _shifted_moments(poly: PiecewisePolynomial, beta, ref: float) -> np.ndarray:
-    shifted = PiecewisePolynomial(poly.breakpoints - ref, poly.coefficients)
-    return shifted.laplace(beta, (0, 1, 2))
+    return PiecewisePolynomial.from_bernstein(poly.breakpoints - ref, poly.bernstein).laplace(beta, (0, 1, 2))
 
 
 def _canonical_table(poly_or_dos, beta) -> _CanonicalTable:

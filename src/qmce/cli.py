@@ -49,6 +49,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _attach_lists(argv: list[str]) -> list[str]:
+    # argparse takes a list such as -1,0,1 for an option; give it as --levels=-1,0,1
+    out: list[str] = []
+    for tok in argv:
+        negative = tok.startswith("-") and not tok.startswith("--")
+        if negative and out and out[-1] in ("--levels", "--levels2", "--degeneracy", "--degeneracy2"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_numbers(text: str, flag: str, cast):
     try:
         return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -382,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_lists(sys.argv[1:] if argv is None else list(argv)))
         return int(args.func(args))
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code) if exc.code is not None else 0

@@ -9,12 +9,13 @@ normalized spline with the eigenvalues as knots: a piecewise polynomial
 of degree n-1 supported on [E_min, E_max], n-1-m times continuously
 differentiable at a knot of multiplicity m.
 
-The construction below runs the stable two-term spline recursion once
-per interval between distinct eigenvalues, carrying exact polynomial
-coefficients in the locally shifted variable E - a.  The direct
-truncated-power sum (``eval_eq7_direct``) is retained verbatim as an
-independent cross-check; it is numerically poor for close eigenvalues
-and must not replace the stable path.
+The construction below runs the two-term spline recursion in the
+Bernstein basis of every interval between distinct eigenvalues, where
+it adds only nonnegative terms, so Omega keeps a few ulp of relative
+error everywhere on its support.  The direct truncated-power sum
+(``eval_eq7_direct``) is retained verbatim as an independent
+cross-check; it is numerically poor for close eigenvalues and must not
+replace the stable path.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import InvalidInputError, ResourceLimitError
-from .piecewise import PiecewisePolynomial
-from .spectrum import Spectrum
+from .piecewise import PiecewisePolynomial, degree_up
+from .spectrum import Spectrum, state_volume
 
 _MAX_DIM = 64
 
@@ -55,8 +55,7 @@ class PiecewiseDos:
     @property
     def normalization(self) -> float:
         """Total integral, pi^n / n!."""
-        n = self.dim - 1
-        return math.pi**n / math.factorial(n)
+        return state_volume(self.dim)
 
     @property
     def e_min(self) -> float:
@@ -74,10 +73,13 @@ class PiecewiseDos:
 def build_dos(s: Spectrum) -> PiecewiseDos:
     """Exact Omega(E) for the spectrum s.
 
-    Runs the two-term recursion with repeated knots (degenerate levels
-    need no special casing) on every interval between consecutive
-    distinct eigenvalues; empty-interval contributions carry the
-    conventional zero weight.
+    Omega is pi^n/n! times the B-spline of degree n - 1 on the knots,
+    by the recursion N_{i,k} = (E - t_i)/(t_{i+k} - t_i) N_{i,k-1} +
+    (t_{i+k+1} - E)/(t_{i+k+1} - t_{i+1}) N_{i+1,k-1} over the degree,
+    for all pieces at once; a term with coincident knots has weight 0,
+    so degenerate levels need no special casing.  Each factor enters by
+    its values at both ends of a piece (``degree_up``), clipped at 0 where
+    its B-spline vanishes on the piece anyway.
     """
     dim = s.dim
     if dim > _MAX_DIM:
@@ -85,39 +87,23 @@ def build_dos(s: Spectrum) -> PiecewiseDos:
             f"dim = {dim} exceeds the exact-path guard ({_MAX_DIM})"
         )
     n = dim - 1
-    degree = n - 1
     t = s.knots.astype(float)
-    bps = s.energies
-    scale = math.pi**n / math.factorial(n - 1) / (t[-1] - t[0])
-    coeffs = np.zeros((bps.size - 1, degree + 1))
-    for j in range(bps.size - 1):
-        a, b = bps[j], bps[j + 1]
-        polys = [
-            np.array([1.0]) if (t[i] <= a and t[i + 1] >= b) else np.array([0.0])
-            for i in range(t.size - 1)
-        ]
-        for k in range(1, degree + 1):
-            nxt = []
-            for i in range(t.size - k - 1):
-                acc = np.array([0.0])
-                d1 = t[i + k] - t[i]
-                if d1 > 0.0 and polys[i].any():
-                    acc = npp.polyadd(
-                        acc, npp.polymul(polys[i], [(a - t[i]) / d1, 1.0 / d1])
-                    )
-                d2 = t[i + k + 1] - t[i + 1]
-                if d2 > 0.0 and polys[i + 1].any():
-                    acc = npp.polyadd(
-                        acc,
-                        npp.polymul(
-                            polys[i + 1], [(t[i + k + 1] - a) / d2, -1.0 / d2]
-                        ),
-                    )
-                nxt.append(acc)
-            polys = nxt
-        row = polys[0] * scale
-        coeffs[j, : row.size] = row
-    return PiecewiseDos(knots=t, poly=PiecewisePolynomial(bps, coeffs))
+    a, b = s.energies[:-1], s.energies[1:]
+
+    def ramp(num, den):
+        return np.where(den > 0.0, np.maximum(num, 0.0) / np.where(den > 0.0, den, 1.0), 0.0)
+
+    # c[l, i, j]: coefficient l of N_{i,k} on piece j; N_{i,0} is 1 on the piece [t_i, t_{i+1}) covers
+    c = ((t[:-1, None] <= a) & (t[1:, None] >= b)).astype(float)[None]
+    for k in range(1, n):
+        lo, top = t[: dim - 1 - k, None], t[k + 1 :, None]
+        up, down = t[k : dim - 1, None] - lo, top - t[1 : dim - k, None]
+        left, right = c[:, :-1], c[:, 1:]
+        start, end = (ramp(x - lo, up) * left + ramp(top - x, down) * right for x in (a, b))
+        c = degree_up(start, end)
+    # integral of N_0 is (E_max - E_min)/n
+    bern = np.ascontiguousarray(c[:, 0].T) * (state_volume(dim) * n / (t[-1] - t[0]))
+    return PiecewiseDos(knots=t, poly=PiecewisePolynomial.from_bernstein(s.energies, bern))
 
 
 def eval_dos(d: PiecewiseDos, e):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spectrum import Spectrum
+from .spectrum import Spectrum, state_volume
 
 
 def _upsilon(x: float) -> float:
@@ -48,8 +48,7 @@ class GrandDos:
     @property
     def integral(self) -> float:
         # simplex volume 1/n! times the constant
-        n = self.dim - 1
-        return math.pi**n / math.factorial(n)
+        return state_volume(self.dim)
 
     def density(self, p) -> float:
         return grand_dos_general(p, self.dim)

@@ -19,14 +19,13 @@ the number of threads (including none).
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .spectrum import Spectrum
+from .spectrum import Spectrum, state_volume
 
 _CHUNK_FLOATS = 1 << 21  # per-chunk draw budget, keeps memory modest
 
@@ -135,8 +134,7 @@ def estimate_dos(s: Spectrum, cfg: McConfig, method: str = "gaussian", threads: 
     histogram is scaled by the manifold volume pi^n/n!, so the densities
     times the bin widths sum to that volume exactly.
     """
-    n = s.dim - 1
-    scale = math.pi**n / math.factorial(n)
+    scale = state_volume(s.dim)
     edges = np.linspace(s.e_min, s.e_max, cfg.bins + 1)
     knots = s.knots.astype(float)
     shares = _stream_shares(cfg.samples, cfg.streams)
@@ -175,8 +173,7 @@ def estimate_grand(cfg: McConfig, dim: int = 3, method: str = "gaussian", thread
     """
     if dim != 3:
         raise InvalidInputError("the grand estimate is defined for dim = 3")
-    n = dim - 1
-    scale = math.pi**n / math.factorial(n)
+    scale = state_volume(dim)
     edges = np.linspace(0.0, 1.0, cfg.bins + 1)
     shares = _stream_shares(cfg.samples, cfg.streams)
 

@@ -1,11 +1,14 @@
-"""Piecewise polynomials with exact local coefficients.
+"""Piecewise polynomials in Bernstein form.
 
-A function is stored as consecutive intervals [b_j, b_{j+1}) with one
-polynomial per interval written in the shifted variable u = x - b_j.
-Keeping coefficients local to each interval avoids the catastrophic
-cancellation that plagues a global monomial basis, while still giving
-exact one-sided derivatives, antiderivatives, convolutions and Laplace
-transforms by direct coefficient manipulation.
+Each interval [b_j, b_{j+1}) of width h_j carries one polynomial
+p(x) = sum_l c_l C(d, l) s^l r^(d - l), s = (x - b_j)/h_j, r = (b_{j+1} - x)/h_j.
+A density of states has nonnegative c_l (de Boor, J. Approx. Theory 6,
+1972), so each value, subinterval integral and Laplace moment below is
+a sum of nonnegative terms with a few ulp of relative error however
+small it is; signed local monomials cancel instead, and lose every
+digit near the far end of a piece at high degree (Farouki & Rajan,
+CAGD 4, 1987).  Derivatives difference the c_l, so their error is
+relative to their size on the piece.
 
 Outside [b_0, b_last] the function is identically zero.  Pieces are
 half-open; ``value`` treats the final right endpoint as closed.
@@ -13,127 +16,148 @@ half-open; ``value`` treats the final right endpoint as closed.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
+from .roots import decreasing_root
 
-def _compose_linear(coeffs: np.ndarray, a0: float, a1: float) -> np.ndarray:
-    """Coefficients of p(a0 + a1*u) given the coefficients of p(u).
 
-    Horner's scheme over polynomial arithmetic; exact up to round-off.
+@functools.cache
+def _pascal(d: int) -> np.ndarray:
+    """C(k, m) for 0 <= m <= k <= d, zero above the diagonal."""
+    return np.array([[math.comb(k, m) for m in range(d + 1)] for k in range(d + 1)], dtype=float)
+
+
+@functools.cache
+def _expansion(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """q(w - u) as [u power, w power]: entry (g, m) is q[take] * factor = q_{g+m} C(g+m, g) (-1)^g."""
+    g, m = np.indices((d + 1, d + 1))
+    return np.minimum(g + m, d), np.where(g + m <= d, _pascal(d)[np.minimum(g + m, d), g] * (-1.0) ** g, 0.0)
+
+
+def degree_up(start, end) -> np.ndarray:
+    """Bernstein coefficients c'_l = ((k - l)/k) start_l + (l/k) end_{l-1}, one degree more.
+
+    The coefficient index is the first axis.  For c times a linear factor
+    that is L at the start of the piece and R at its end, start = L c and
+    end = R c.
     """
-    out = np.zeros(1)
-    for c in coeffs[::-1]:
-        out = npp.polymul(out, [a0, a1])
-        out[0] += c
+    k = start.shape[0]
+    frac = (np.arange(1, k + 1) / k).reshape((k,) + (1,) * (start.ndim - 1))  # l/k, l = 1..k
+    out = np.zeros((k + 1,) + start.shape[1:])
+    out[:k] = start * frac[::-1]
+    out[1:] += end * frac
     return out
 
 
-def _deriv_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """Ascending coefficients of the order-th derivative along the last axis."""
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(order):
-        if c.shape[-1] <= 1:
-            return np.zeros(c.shape[:-1] + (1,))
-        c = c[..., 1:] * np.arange(1, c.shape[-1])
-    return c
+def _bernstein_sum(c: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_l c_l s^l r^(d - l) for rows c (binomials included) at points (s, r), as
+    max(s, r)^d times a polynomial in q = min(s, r)/max(s, r) <= 1 (Schumaker & Volk,
+    CAGD 3, 1986): nonnegative c add only nonnegative terms."""
+    d = c.shape[-1] - 1
+    flip = s > r
+    big = np.where(flip, s, r)
+    l = np.arange(d + 1)
+    powers = (np.where(flip, r, s) / big)[..., None] ** np.where(flip[..., None], d - l, l)
+    return np.sum(c * powers, axis=-1) * big**d
 
 
-def _polyval(u, coeffs):
-    return npp.polyval(u, coeffs)
+def _left_part(c: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows c restricted to [0, s] (r = 1 - s): de Casteljau in closed form,
+    new c_k = sum_m B_m^k(s) c_m, a convex combination."""
+    d = c.shape[-1] - 1
+    k = np.arange(d + 1)
+    weights = _pascal(d) * s[:, None, None] ** k * r[:, None, None] ** np.maximum(k[:, None] - k, 0)
+    return np.sum(weights * c[:, None, :], axis=-1)  # zero above the diagonal, as C(k, m) is
 
 
-def _exp_moments(beta, h, mmax: int) -> np.ndarray:
-    """I_m = integral of u^m * exp(-beta*u) over [0, h] for m = 0..mmax.
+def _decay_moments(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """integral over [0, 1] of p(t) exp(-z t) dt for Bernstein rows.
 
-    beta >= 0 and h > 0 are scalars or broadcastable arrays; the result
-    has their broadcast shape plus a trailing moment axis of mmax + 1.
-    I_m = h^{m+1} J_m(z) with z = beta*h and J_m(z) the integral of
-    t^m e^{-zt} over [0, 1], computed without cancellation for every z
-    at once (Gautschi's direction rule for J_m = (m J_{m-1} - e^{-z})/z):
-
-    * z <= mmax + 1: the all-positive series
-      J_M = e^{-z} sum_j z^j / ((M+1)(M+2)...(M+1+j)), then downward
-      J_{m-1} = (z J_m + e^{-z})/m, which only adds positive terms;
-    * z > mmax + 1: upward from J_0 = -expm1(-z)/z, where every step
-      damps the error by m/z < 1.
+    rows (n + 1, K, pieces), z >= 0 (pieces, B) -> (B, pieces, K), with
+    only nonnegative terms for nonnegative rows.  z <= n + 1: e^{-z} sum_j
+    z^j/j! mu_j with mu_j the integral of (1 - t)^j p(t), by Horner in z.
+    z > n + 1: sum_l c_l m_l with the basis moments m_l = e^{-z}
+    1F1(n + 1 - l; n + 2; z)/(n + 1), by Horner in 1/z over W_l = m_l z^{l+1},
+    which run from W_{n+1} = e^{-z} z^{n+2}/(n + 1), W_n = n! P(n + 1, z)
+    down (n + 1 - l) W_{l-1} = (l + 1) W_{l+1}/z^2 + (1 + (n - 2l)/z) W_l
+    (Abramowitz & Stegun 13.4.1), positive for z > n.
     """
-    beta = np.asarray(beta, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if np.any(beta < 0.0) or np.any(h <= 0.0):
-        raise ValueError("beta must be nonnegative and h positive")
-    z = beta * h
-    j = np.empty(z.shape + (mmax + 1,))
-    down = z <= mmax + 1
-    zd = z[down]
-    term = np.full(zd.shape, 1.0 / (mmax + 1))
-    total = term.copy()
-    k = mmax + 1
-    # terms shrink monotonically; once all are below 0.2 ulp of their
-    # sums further terms leave every sum unchanged
-    while np.any(term > 1e-17 * total):
-        k += 1
-        term = term * zd / k
-        total += term
-    ez = np.exp(-zd)
-    jd = np.empty(zd.shape + (mmax + 1,))
-    jd[:, mmax] = ez * total
-    for m in range(mmax, 0, -1):
-        jd[:, m - 1] = (zd * jd[:, m] + ez) / m
-    j[down] = jd
-    zu = z[~down]
-    ez = np.exp(-zu)
-    ju = np.empty(zu.shape + (mmax + 1,))
-    ju[:, 0] = -np.expm1(-zu) / zu
-    for m in range(1, mmax + 1):
-        ju[:, m] = (m * ju[:, m - 1] - ez) / zu
-    j[~down] = ju
-    j *= h[..., None] ** np.arange(1, mmax + 2)
-    return j
+    n = rows.shape[0] - 1
+    c = rows[..., None]  # (n + 1, K, pieces, 1)
+    small = z <= n + 1
+    out = np.empty(c.shape[1:3] + z.shape[1:])
+    if small.any():
+        zs = np.minimum(z, n + 1)
+        # row j: C(n, l)/(C(n + j, l) j! (n + j + 1)), so row @ c = mu_j/j!; mu_j of |p| falls with j,
+        # and past J = n + 21 + 9 isqrt(n + 2) terms the Poisson tail is < 2^-57 (Chernoff, n < 400)
+        j, l = np.arange(n + 21 + 9 * math.isqrt(n + 2))[:, None], np.arange(n + 1)
+        ratio = np.where(j > 0, (n + j - l) / ((n + j) * np.maximum(j, 1)), 1.0)
+        coef = np.tensordot(np.cumprod(ratio, axis=0) / (n + j + 1), c, axes=1)
+        out = np.broadcast_to(coef[-1], out.shape).copy()
+        for k in range(coef.shape[0] - 2, -1, -1):
+            out *= zs
+            out += coef[k]
+        out *= np.exp(-zs)
+    if not small.all():
+        zl = np.maximum(z, n + 1)
+        logz = np.log(zl)
+        tail = sum(np.exp(k * logz - zl - math.lgamma(k + 1)) for k in range(n + 1))  # Poisson(z) <= n
+        upper, w = np.exp((n + 2) * logz - zl) / (n + 1), math.factorial(n) * (1.0 - tail)
+        acc = c[n] * w
+        for k in range(n, 0, -1):
+            upper, w = w, ((k + 1) * upper / (zl * zl) + (1.0 + (n - 2 * k) / zl) * w) / (n + 1 - k)
+            acc /= zl
+            acc += c[k - 1] * w
+        out = np.where(small, out, acc / zl)
+    return out.transpose(2, 1, 0)
 
 
-def _binomial_reflection(n: int) -> np.ndarray:
-    """R with (d @ R)[l] = (-1)^l sum_i C(i, l) d[i]: the coefficients of
-    q(t) = p(1 - t) from those of p, both on [0, 1]."""
-    return np.array(
-        [[(-1.0) ** l * math.comb(i, l) for l in range(n)] for i in range(n)]
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class PiecewisePolynomial:
     """Polynomial pieces on consecutive intervals, zero outside.
 
     breakpoints: strictly increasing, shape (npieces + 1,)
-    coefficients: shape (npieces, degree + 1); row j holds ascending
-        coefficients of the piece on [b_j, b_{j+1}) in u = x - b_j.
+    bernstein: shape (npieces, degree + 1); row j holds the Bernstein
+        coefficients of the piece on [b_j, b_{j+1}).
+
+    The constructor takes local monomial coefficients, row j ascending in
+    u = x - b_j, and converts them once; ``from_bernstein`` takes
+    Bernstein rows as they are.
     """
 
-    breakpoints: np.ndarray
-    coefficients: np.ndarray
+    def __init__(self, breakpoints, coefficients):
+        bp, co = self._set(breakpoints, coefficients)
+        d = co.shape[1] - 1
+        # t^i = sum_{l >= i} C(l, i)/C(d, i) B_l^d(t), with u = h t
+        self.bernstein = (co * np.diff(bp)[:, None] ** np.arange(d + 1) / _pascal(d)[d]) @ _pascal(d).T
 
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        co = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
+    @classmethod
+    def from_bernstein(cls, breakpoints, bernstein) -> "PiecewisePolynomial":
+        self = cls.__new__(cls)
+        self._set(breakpoints, bernstein)
+        return self
+
+    def _set(self, breakpoints, rows) -> tuple[np.ndarray, np.ndarray]:
+        self.breakpoints = bp = np.asarray(breakpoints, dtype=float)
+        self.bernstein = co = np.atleast_2d(np.asarray(rows, dtype=float))
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if co.shape[0] != bp.size - 1:
             raise ValueError("one coefficient row per interval required")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "coefficients", co)
+        return bp, co
 
     @property
     def npieces(self) -> int:
-        return self.coefficients.shape[0]
+        return self.bernstein.shape[0]
 
     @property
     def degree(self) -> int:
-        return self.coefficients.shape[1] - 1
+        return self.bernstein.shape[1] - 1
 
     @property
     def support(self) -> tuple[float, float]:
@@ -141,44 +165,42 @@ class PiecewisePolynomial:
 
     # -- evaluation ----------------------------------------------------
 
+    def _at(self, j: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+        """order-th derivative (rows d!/(d-k)! Delta^k c / h^k) of the pieces j at the points x."""
+        d = self.degree
+        if order > d:
+            return np.zeros(x.shape)
+        a, b = self.breakpoints[j], self.breakpoints[j + 1]
+        h, scale = b - a, math.perm(d, order) * _pascal(d - order)[d - order]
+        rows = np.diff(self.bernstein[j], order, axis=-1) / h[..., None] ** order * scale
+        return _bernstein_sum(rows, (x - a) / h, (b - x) / h)
+
     def value(self, x, order: int = 0):
         """Evaluate the order-th derivative at x (scalar or array).
 
         Right-sided at breakpoints; the last endpoint is closed, so it
         takes the left limit there.
         """
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        bp = self.breakpoints
-        idx = np.searchsorted(bp, xs, side="right") - 1
-        idx = np.clip(idx, 0, self.npieces - 1)
-        u = xs - bp[idx]
-        co = _deriv_coeffs(self.coefficients, order)
-        out = co[idx, -1].copy()
-        for i in range(co.shape[1] - 2, -1, -1):
-            out = out * u + co[idx, i]
-        out[(xs < bp[0]) | (xs > bp[-1])] = 0.0
-        return float(out[0]) if scalar else out
+        xs, bp = np.asarray(x, dtype=float), self.breakpoints
+        flat = xs.ravel()
+        j = np.clip(np.searchsorted(bp, flat, side="right") - 1, 0, self.npieces - 1)
+        out = np.empty(flat.shape)
+        for i in range(0, flat.size, 16384):  # blocks bound the (points, degree) temporaries
+            out[i : i + 16384] = self._at(j[i : i + 16384], flat[i : i + 16384], order)
+        out[(flat < bp[0]) | (flat > bp[-1])] = 0.0
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
-    def one_sided(self, x: float, order: int = 0) -> tuple[float, float]:
-        """Exact one-sided derivative values (left, right) at x.
+    def one_sided(self, x, order: int = 0):
+        """Exact one-sided derivative values (left, right) at x (scalar or array).
 
         The zero function outside the support supplies the outer limits,
         so both entries vanish beyond [b_0, b_last].
         """
-        bp = self.breakpoints
-        left = 0.0
-        if bp[0] < x <= bp[-1]:
-            j = int(np.searchsorted(bp, x, side="left")) - 1
-            c = _deriv_coeffs(self.coefficients[j], order)
-            left = float(_polyval(x - bp[j], c))
-        right = 0.0
-        if bp[0] <= x < bp[-1]:
-            j = int(np.searchsorted(bp, x, side="right")) - 1
-            c = _deriv_coeffs(self.coefficients[j], order)
-            right = float(_polyval(x - bp[j], c))
-        return left, right
+        bp, xs = self.breakpoints, np.asarray(x, dtype=float)
+        j = np.clip(np.searchsorted(bp, xs, side="left") - 1, 0, self.npieces - 1)
+        left = np.where((bp[0] < xs) & (xs <= bp[-1]), self._at(j, xs, order), 0.0)
+        right = np.where((bp[0] <= xs) & (xs < bp[-1]), self.value(xs, order), 0.0)
+        return (float(left), float(right)) if xs.ndim == 0 else (left, right)
 
     def derivative_value(self, x: float, order: int = 1) -> float:
         """Two-sided derivative away from breakpoints; right-sided at them
@@ -188,7 +210,11 @@ class PiecewisePolynomial:
     # -- calculus ------------------------------------------------------
 
     def integrate(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] (clipped to the support)."""
+        """Exact integral over [a, b] (clipped to the support).
+
+        Each overlapped piece is subdivided onto its part of [a, b], whose
+        integral is the width times the mean of the new coefficients.
+        """
         sign = 1.0
         if b < a:
             a, b = b, a
@@ -198,56 +224,50 @@ class PiecewisePolynomial:
         b = min(b, bp[-1])
         if b <= a:
             return 0.0
-        total = 0.0
-        j0 = max(int(np.searchsorted(bp, a, side="right")) - 1, 0)
-        for j in range(j0, self.npieces):
-            lo = max(a, bp[j])
-            hi = min(b, bp[j + 1])
-            if hi <= lo:
-                break
-            anti = npp.polyint(self.coefficients[j])
-            total += _polyval(hi - bp[j], anti) - _polyval(lo - bp[j], anti)
-        return sign * total
+        j = np.arange(np.searchsorted(bp, a, side="right") - 1, np.searchsorted(bp, b, side="left"))
+        start, end = bp[j], bp[j + 1]
+        lo, hi = np.maximum(a, start), np.minimum(b, end)
+        width = end - start
+        # the part on [lo, end] is the reversed left part of the reversed row
+        c = _left_part(self.bernstein[j, ::-1], (end - lo) / width, (lo - start) / width)[:, ::-1]
+        c = _left_part(c, (hi - lo) / (end - lo), (end - hi) / (end - lo))
+        return sign * float(np.sum((hi - lo) * np.mean(c, axis=-1)))
 
     def integral(self) -> float:
-        return self.integrate(self.breakpoints[0], self.breakpoints[-1])
+        return float(np.sum(np.diff(self.breakpoints) * np.mean(self.bernstein, axis=-1)))
 
     def scaled(self, factor: float) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints, self.coefficients * factor)
+        return PiecewisePolynomial.from_bernstein(self.breakpoints, self.bernstein * factor)
 
     def argmax(self, smallest: bool = True) -> tuple[float, float]:
-        """Location and value of the global maximum over the support.
+        """Location and value of the maximum of a unimodal function.
 
-        Ties within 1e-12 relative resolve to the smallest x when
-        ``smallest`` is set, else to the largest.
+        Only the log-concave density of states calls this: its derivative
+        is positive, zero on a plateau (a constant piece), then negative,
+        with the sign of the first nonzero Bernstein coefficient just right
+        of b_j and of the last one just left of b_{j+1}.  The smallest
+        maximizer is the first breakpoint where it stops being positive, or
+        its root (beta = 0) in the first piece where it changes sign; the
+        largest mirrors that, so a plateau resolves to its left or right end.
         """
-        best_x = None
-        best_v = -math.inf
+        # the derivative's rows up to a positive factor (a zero column keeps
+        # constants in), and the sign of their first and last nonzero entry
+        dc = np.pad(np.diff(self.bernstein, axis=-1), ((0, 0), (0, 1)))
+        rows = np.arange(self.npieces)
+        first, last = (np.sign(r[rows, (r != 0.0).argmax(axis=1)]) for r in (dc, dc[:, ::-1]))
+        cross = (first > 0.0) & (last < 0.0)
+        edge = first <= 0.0 if smallest else last >= 0.0
+        hits = np.nonzero(edge | cross)[0]
         bp = self.breakpoints
-        for j in range(self.npieces):
-            h = bp[j + 1] - bp[j]
-            cand = [0.0]
-            if j == self.npieces - 1:
-                cand.append(h)
-            dc = _deriv_coeffs(self.coefficients[j], 1)
-            if dc.size > 1 or dc[0] != 0.0:
-                roots = np.roots(dc[::-1]) if dc.size > 1 else np.array([])
-                for r in np.atleast_1d(roots):
-                    if abs(r.imag) < 1e-9 * (1.0 + abs(r.real)) and 0.0 < r.real < h:
-                        cand.append(float(r.real))
-            for u in cand:
-                v = float(_polyval(u, self.coefficients[j]))
-                x = float(bp[j] + u)
-                if best_x is None:
-                    best_x, best_v = x, v
-                    continue
-                tol = 1e-12 * max(abs(v), abs(best_v), 1e-300)
-                if v > best_v + tol:
-                    best_x, best_v = x, v
-                elif abs(v - best_v) <= tol:
-                    if (smallest and x < best_x) or (not smallest and x > best_x):
-                        best_x = x
-        return best_x, best_v
+        j = int(hits[0] if smallest else hits[-1]) if hits.size else None
+        if j is None:
+            x = bp[-1] if smallest else bp[0]
+        elif edge[j]:
+            x = bp[j] if smallest else bp[j + 1]
+        else:
+            h, slope = bp[j + 1] - bp[j], lambda u: (self.value(bp[j] + u, 1), self.value(bp[j] + u, 2))
+            x = bp[j] + decreasing_root(slope, 0.0, h, h)
+        return float(x), self.value(x)
 
     # -- transforms ----------------------------------------------------
 
@@ -256,32 +276,33 @@ class PiecewisePolynomial:
 
         beta is any real scalar or array: a scalar gives a float, an array
         an array of its shape.  moment is 0, 1 or 2, or a sequence of
-        them, which stacks the moments on a trailing axis.  Each call
-        builds one (beta, piece, moment) table of ``_exp_moments`` in the
-        unit variable t = (x - b_j)/h_j; for beta < 0 every piece is
-        reflected onto its right endpoint, t -> 1 - t, so the exponential
-        always decays.  The factors exp(-beta*anchor) are not rescaled:
-        callers that need a reference shift (``_canonical_table``) shift
-        the breakpoints first.
+        them, which stacks the moments on a trailing axis.  Each piece is
+        written in t = (x - anchor)/h from the anchor b_j (beta >= 0) or
+        b_{j+1} (beta < 0: the Bernstein row reversed), so the exponential
+        decays; p, t p and t^2 p as rows two degrees up go through one
+        ``_decay_moments`` table per sign.  The factors exp(-beta*anchor)
+        are not rescaled: callers that need a reference shift
+        (``_canonical_table``) shift the breakpoints first.
         """
         ks = np.atleast_1d(np.asarray(moment))
         if not np.isin(ks, (0, 1, 2)).all():
             raise ValueError("moment must be 0, 1 or 2")
         b = np.asarray(beta, dtype=float)
-        flat = b.reshape(-1, 1)
+        flat = b.reshape(-1)
         neg = flat < 0.0
         bp = self.breakpoints
         h = np.diff(bp)
-        n = self.degree + 1
-        d = self.coefficients * h[:, None] ** np.arange(n)  # coefficients in t
-        if neg.any():
-            d = np.where(neg[..., None], (d @ _binomial_reflection(n))[None], d[None])
-        anchor = np.where(neg, bp[1:], bp[:-1])
-        sign = np.where(neg, -1.0, 1.0)
-        jm = _exp_moments(np.abs(flat) * h, 1.0, n + 1)
-        s0, s1, s2 = (h ** (l + 1) * np.sum(d * jm[..., l : l + n], axis=-1) for l in range(3))
+        moments = np.empty(flat.shape + (self.npieces, 3))
+        for side, c in ((~neg, self.bernstein.T), (neg, self.bernstein.T[::-1])):
+            if side.any():
+                up, tp = degree_up(c, c), degree_up(0.0 * c, c)  # p and t p, one degree up
+                rows = np.stack([degree_up(up, up), degree_up(tp, tp), degree_up(0.0 * tp, tp)], 1)
+                moments[side] = _decay_moments(rows, h[:, None] * np.abs(flat[side]))
+        s0, s1, s2 = (h ** (k + 1) * moments[..., k] for k in range(3))
+        anchor = np.where(neg[:, None], bp[1:], bp[:-1])
+        sign = np.where(neg, -1.0, 1.0)[:, None]
         with np.errstate(over="ignore"):
-            w = np.exp(-flat * anchor)
+            w = np.exp(-flat[:, None] * anchor)
         # x = anchor + sign*h*t on every piece
         per_piece = {
             0: s0,
@@ -301,8 +322,18 @@ class PiecewisePolynomial:
         Output breakpoints are the pairwise sums of input breakpoints
         (merged within a relative sliver tolerance); on each output
         interval the contribution of every overlapping piece pair is a
-        polynomial, assembled by exact bivariate coefficient algebra.
+        polynomial, assembled by exact bivariate coefficient algebra on
+        local monomials: the inputs are converted to them here, and the
+        constructor converts the result back.
         """
+
+        def monomials(p: PiecewisePolynomial) -> np.ndarray:
+            # u^i coefficient = C(d, i) Delta^i c_0 / h^i
+            d = p.degree
+            diffs = np.stack([np.diff(p.bernstein, i, axis=-1)[:, 0] for i in range(d + 1)], axis=-1)
+            return diffs * _pascal(d)[d] / np.diff(p.breakpoints)[:, None] ** np.arange(d + 1)
+
+        fco, gco = monomials(self), monomials(other)
         bpf, bpg = self.breakpoints, other.breakpoints
         sums = np.sort(np.add.outer(bpf, bpg).ravel())
         span = (bpf[-1] - bpf[0]) + (bpg[-1] - bpg[0])
@@ -312,6 +343,17 @@ class PiecewisePolynomial:
                 merged.append(s)
         out_bp = np.asarray(merged)
         degree = self.degree + other.degree + 1
+
+        def along(table, u):  # coefficients of sum_a u^a table[a] for a polynomial u, by Horner
+            out = np.zeros(1)
+            for row in table[::-1]:
+                out = npp.polymul(out, u)
+                if row.size == 1:
+                    out[0] += row[0]
+                else:
+                    out = npp.polyadd(out, row)
+            return out
+
         out_co = np.zeros((out_bp.size - 1, degree + 1))
         for k in range(out_bp.size - 1):
             lo, hi = out_bp[k], out_bp[k + 1]
@@ -325,43 +367,18 @@ class PiecewisePolynomial:
                     w_m = xm - s0
                     if not (0.0 < w_m < hf + hg):
                         continue
-                    # bivariate r[a, b] = coeff of u^a w^b in p(u) q(w-u)
-                    q = other.coefficients[j]
-                    biv = np.zeros((q.size, q.size))
-                    for b_idx in range(q.size):
-                        qb = q[b_idx]
-                        if qb == 0.0:
-                            continue
-                        comb = 1.0
-                        for g in range(b_idx + 1):
-                            biv[g, b_idx - g] += qb * comb * (-1.0) ** g
-                            comb = comb * (b_idx - g) / (g + 1)
-                    p = self.coefficients[i]
-                    full = np.zeros((p.size + q.size - 1, q.size))
-                    for a_idx in range(p.size):
-                        if p[a_idx] != 0.0:
-                            full[a_idx : a_idx + q.size, :] += p[a_idx] * biv
-                    # antiderivative in u
-                    anti = np.zeros((full.shape[0] + 1, q.size))
-                    anti[1:, :] = full / np.arange(1, full.shape[0] + 1)[:, None]
+                    # p(u) q(w - u) as [u power, w power], and its antiderivative in u; q is the
+                    # longer piece, so the powers of w in its expansion stay within twice its width
+                    p, q, hp, hq = (fco[i], gco[j], hf, hg) if hg >= hf else (gco[j], fco[i], hg, hf)
+                    take, factor = _expansion(q.size - 1)
+                    full = np.stack([np.convolve(p, col) for col in (factor * q[take]).T], axis=1)
+                    anti = np.vstack([np.zeros((1, q.size)), full / np.arange(1, full.shape[0] + 1)[:, None]])
                     # integration bounds as polynomials in w
-                    u_hi = np.array([hf]) if w_m >= hf else np.array([0.0, 1.0])
-                    u_lo = np.array([0.0]) if w_m <= hg else np.array([-hg, 1.0])
-                    term = npp.polysub(
-                        _eval_biv(anti, u_hi), _eval_biv(anti, u_lo)
-                    )
+                    u_hi = [hp] if w_m >= hp else [0.0, 1.0]
+                    u_lo = [0.0] if w_m <= hq else [-hq, 1.0]
+                    term = np.trim_zeros(npp.polysub(along(anti, u_hi), along(anti, u_lo)), "b")
                     # shift w = xi + (lo - s0) to the local variable xi
-                    acc = npp.polyadd(acc, _compose_linear(term, lo - s0, 1.0))
+                    acc = npp.polyadd(acc, along(term[:, None], [lo - s0, 1.0]))
             out_co[k, : acc.size] = acc[: degree + 1]
         return PiecewisePolynomial(out_bp, out_co)
 
-
-def _eval_biv(biv: np.ndarray, u_poly: np.ndarray) -> np.ndarray:
-    """Evaluate a bivariate coefficient table at u = u_poly(w).
-
-    biv[a, b] multiplies u^a w^b; returns ascending coefficients in w.
-    """
-    out = np.zeros(1)
-    for a_idx in range(biv.shape[0] - 1, -1, -1):
-        out = npp.polyadd(npp.polymul(out, u_poly), biv[a_idx, :])
-    return np.trim_zeros(out, "b") if out.any() else np.zeros(1)

@@ -8,6 +8,7 @@ absolute 1e-12 near zero) into a single level with summed multiplicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ MERGE_ATOL = 1e-12
 
 _ISING_MAX_SPINS = 24
 _ISING_CHUNK = 1 << 20
+
+
+def state_volume(dim: int) -> float:
+    """Volume pi^n/n! of the manifold of pure states of a dim-level system, n = dim - 1."""
+    return math.pi ** (dim - 1) / math.factorial(dim - 1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ Omega'/Omega is nonincreasing in E and C >= 0.  Both solves here are
 therefore the root of a nonincreasing function, found by the one
 safeguarded-Newton routine ``roots.decreasing_root`` that also solves the
 canonical U(beta) = E: beta(E) = 1/T for ``energy_of_temperature`` and
-beta_1 = beta_2 for ``equilibrate``.
+beta_1 = beta_2 for ``equilibrate``.  Omega is evaluated as a sum of
+nonnegative terms, so it is positive wherever it does not underflow and
+beta needs no noise floor.
 
 Smoothness at a knot is an exact property of the spline, not something
 measured: at an interior level of multiplicity m in dimension N the
@@ -79,23 +81,15 @@ class EquilibrationResult:
     boundary: bool
 
 
-def _noise_floor(poly: PiecewisePolynomial, x: float) -> float:
-    """Rounding-noise bound for evaluating the piece containing x."""
-    bp = poly.breakpoints
-    j = min(max(int(np.searchsorted(bp, x, side="right")) - 1, 0), poly.npieces - 1)
-    xi = x - bp[j]
-    c = np.abs(poly.coefficients[j])
-    return 16.0 * math.ulp(1.0) * float(np.sum(c * xi ** np.arange(c.size)))
-
-
 def _beta(poly: PiecewisePolynomial, x: float) -> tuple[float, float]:
     """beta = Omega'/Omega and dbeta/dE at x.
 
-    Where Omega does not clear its rounding noise beta is +inf in the
-    lower half of the support and -inf in the upper half, with slope 0.
+    Omega, a sum of nonnegative terms, is zero only where it underflows or
+    vanishes at a support edge; there beta is +inf in the lower half of
+    the support and -inf in the upper half, with slope 0.
     """
     w, w1, w2 = (poly.value(x, k) for k in range(3))
-    if w <= _noise_floor(poly, x):
+    if not w > 0.0:
         lo, hi = poly.support
         return (math.inf if x - lo < hi - x else -math.inf), 0.0
     beta = w1 / w
@@ -109,19 +103,13 @@ def _onto_knot(poly: PiecewisePolynomial, x: float, tol: float) -> float:
     return k if abs(k - x) <= tol else x
 
 
-def _multiplicity(d: PiecewiseDos, e: float) -> int:
-    """How often e occurs among the knots (0 away from the levels)."""
-    k = d.knots
-    return int(np.searchsorted(k, e, side="right") - np.searchsorted(k, e, side="left"))
-
-
 def _sided(d: PiecewiseDos, e: float, order: int, side: str | None) -> float:
     left, right = d.poly.one_sided(e, order)
     if side == "left":
         return left
     if side == "right":
         return right
-    m = _multiplicity(d, e)
+    m = np.count_nonzero(d.knots == e)  # multiplicity of e (0 away from the levels)
     if m > 0 and order >= d.dim - 1 - m:
         raise InvalidInputError(
             f"derivative of order {order} jumps at E = {e:g}; "
@@ -141,9 +129,12 @@ def _heat_of(w, w1, w2):
 
     The 0/0 case is 0 (constant Omega: the energy cannot respond to
     temperature); a vanishing denominator alone is +inf, the
-    divergent-specific-heat signal.
+    divergent-specific-heat signal.  The inputs are first divided by the
+    largest of them, so that no square underflows.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.maximum(np.maximum(np.abs(w), np.abs(w1)), np.abs(w2))
+        w, w1, w2 = (v / np.where(top > 0.0, top, 1.0) for v in (w, w1, w2))
         num = w1 * w1
         den = num - w * w2
         heat = np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), math.inf)
@@ -199,8 +190,8 @@ def energy_of_temperature(d: PiecewiseDos, t, branch: str = "first-monotone") ->
     in u = E - (branch start) with slope beta'(E).  beta jumps only at a
     level of multiplicity N-2, which is the mode and so a branch end, so
     every temperature in the reported range is attained.  A root where
-    Omega is below its rounding noise (near the support edges of high
-    dimensions) cannot be resolved and raises NoSolutionError.
+    Omega underflows (near the support edges of high dimensions) cannot
+    be resolved and raises NoSolutionError.
     """
     t = float(t)
     if branch not in ("first-monotone", "negative"):
@@ -245,7 +236,7 @@ def energy_of_temperature(d: PiecewiseDos, t, branch: str = "first-monotone") ->
         return float(a + decreasing_root(f, 0.0, b - a, width))
     except NoSolutionError:
         raise NoSolutionError(
-            f"kB*T = {t:g} is reached only where Omega is below its rounding noise"
+            f"kB*T = {t:g} is reached only where Omega underflows"
         ) from None
 
 
@@ -286,16 +277,15 @@ def critical_points(d: PiecewiseDos) -> list[CriticalPoint]:
     discontinuity order N-1-m, the first derivative order that jumps
     there; every lower order is continuous.
     """
-    out = []
-    for e in d.poly.breakpoints[1:-1]:
-        e = float(e)
-        order = d.dim - 1 - _multiplicity(d, e)
-        lv, rv = d.poly.one_sided(e, order)
-        l1, r1 = d.poly.one_sided(e, 1)
-        w1 = r1 if order == 1 else 0.5 * (l1 + r1)
-        t = float(_temperature_of(d.poly.value(e), w1))
-        out.append(CriticalPoint(e, t, order, (float(lv), float(rv))))
-    return out
+    levels, mult = np.unique(d.knots, return_counts=True)
+    e, orders = levels[1:-1], d.dim - 1 - mult[1:-1]
+    l1, r1 = d.poly.one_sided(e, 1)
+    t = _temperature_of(d.poly.value(e), np.where(orders == 1, r1, 0.5 * (l1 + r1)))
+    jumps = {k: d.poly.one_sided(e, k) for k in set(orders.tolist())}
+    return [
+        CriticalPoint(float(x), float(tx), int(k), (float(jumps[k][0][i]), float(jumps[k][1][i])))
+        for i, (x, tx, k) in enumerate(zip(e, t, orders))
+    ]
 
 
 def equilibrate(
@@ -309,8 +299,10 @@ def equilibrate(
     returned temperatures agree.  An optimum pinned at a knot where beta
     jumps is returned within the solver tolerance of the knot, and its
     temperatures are the one-sided (right) values at the knot, whichever
-    side the solve ended on.  A maximum at the feasibility edge sets the
-    boundary flag.
+    side the solve ended on.  At a feasibility edge one system sits on its
+    support edge: beta is infinite there unless Omega is not zero (dim 2, or
+    an edge level of multiplicity N - 1), and a gap without a sign change
+    between the edges puts the maximum at one, with the boundary flag.
     """
     if int(n1) != n1 or int(n2) != n2 or n1 < 1 or n2 < 1:
         raise InvalidInputError("constituent counts must be positive integers")
@@ -323,31 +315,22 @@ def equilibrate(
     span = hi - lo
 
     def xs(eps: float) -> tuple[float, float]:
-        return e1 + eps / n1, e2 - eps / n2
+        # clipped, so the feasibility edges put a system exactly on its support edge
+        return min(max(e1 + eps / n1, d1.e_min), d1.e_max), min(max(e2 - eps / n2, d2.e_min), d2.e_max)
 
     def gap(eps: float) -> tuple[float, float]:
         x1, x2 = xs(eps)
         (b1, s1), (b2, s2) = _beta(d1.poly, x1), _beta(d2.poly, x2)
         return b1 - b2, s1 / n1 + s2 / n2
 
-    def inward(edge: float, sign: float) -> tuple[float, float]:
-        # near the outer end of a piece the polynomial evaluates by
-        # cancellation and Omega drowns in rounding noise, where _beta is
-        # infinite; push each probe inward until both betas are real so
-        # the bracketing signs are
-        inset = 1e-13 * span
-        while not math.isfinite(g := gap(edge + sign * inset)[0]) and inset < 0.015625 * span:
-            inset *= 8.0
-        return edge + sign * inset, g
-
-    (a, ga), (b, gb) = inward(lo, 1.0), inward(hi, -1.0)
+    ga, gb = gap(lo)[0], gap(hi)[0]
     boundary = not ga > 0.0 > gb
     if boundary:
         # entropy is monotone across the whole feasible interval
-        eps = a if ga <= 0.0 else b
+        eps = lo if ga <= 0.0 else hi
         x1, x2 = xs(eps)
     else:
-        eps = decreasing_root(gap, a, b, span)
+        eps = decreasing_root(gap, lo, hi, span)
         # a position within the solver tolerance of a knot is put on it,
         # where value() is right-sided, so a kink optimum reports the
         # same temperatures from either side

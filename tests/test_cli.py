@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,30 @@ def test_dos_includes_knot_rows(capsys):
     d = build_dos(make_spectrum([0.0, 1.0, 2.0, 3.0]))
     for row in data_rows(out)[1:]:
         assert float(row[1]) == pytest.approx(eval_dos(d, float(row[0])), abs=1e-15)
+
+
+def test_dos_negative_levels(capsys):
+    # a list value that starts with '-' belongs to its flag
+    code, out, _ = run(capsys, ["dos", "--levels", "-1,0,1", "--grid", "3"])
+    assert code == 0
+    assert [r[0] for r in data_rows(out)[1:]] == ["-1", "0", "1"]
+    code, out, _ = run(capsys, ["dos", "--levels", "-1,0,1", "--degeneracy", "2,1,1", "--grid", "3"])
+    assert code == 0
+    code, _, err = run(capsys, ["dos", "--levels", "-1,0,1", "--degeneracy", "-2,1,1"])
+    assert code == 1 and "multiplicity -2 is not a positive integer" in err
+    code, out, _ = run(
+        capsys,
+        ["equilibrate", "--levels", "-1,0,1", "--E1", "-0.5", "--levels2", "-2,-1,0,1", "--degeneracy2", "1,1,1,1",
+         "--E2", "-1.75"],
+    )
+    assert code == 0
+    assert float(data_rows(out)[1][0]) == pytest.approx(-0.25, abs=1e-9)
+
+
+def test_dos_nonnegative_with_two_heavy_levels(capsys):
+    code, out, _ = run(capsys, ["dos", "--levels", "0,1.9377", "--degeneracy", "34,30", "--grid", "200"])
+    assert code == 0
+    assert all(float(r[1]) >= 0.0 for r in data_rows(out)[1:])
 
 
 def test_dos_usage_errors(capsys):
@@ -120,6 +145,12 @@ def test_thermo_t_range(capsys):
     )
     assert np.all((body[:, 0] > lo) & (body[:, 0] < hi))
     assert np.all((body[:, 2] >= 0.1) & (body[:, 2] <= 0.4))
+
+
+def test_thermo_few_heavy_levels_has_no_nan(capsys):
+    code, out, _ = run(capsys, ["thermo", "--levels", "0,0.4,1", "--degeneracy", "10,10,12"])
+    assert code == 0
+    assert "nan" not in out
 
 
 def test_thermo_range_conflicts(capsys):
@@ -198,6 +229,15 @@ def test_canonical_offset_levels(capsys):
         assert math.isfinite(u)
         assert u == pytest.approx(c + u_ref, abs=1e-12 * 2.0)
         assert len(err.splitlines()) == 1 and "1 of 1 rows" in err
+
+
+def test_canonical_two_heavy_levels(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["canonical", "--levels", "0,1.9377", "--degeneracy", "34,30", "--beta", "1"])
+    assert code == 0 and err == ""
+    _, z, u = (float(v) for v in data_rows(out)[1])
+    assert z > 0.0 and 0.0 <= u <= 1.9377
 
 
 # -- mc-verify -------------------------------------------------------------

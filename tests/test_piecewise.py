@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from qmce import build_dos, make_spectrum
-from qmce.piecewise import PiecewisePolynomial, _exp_moments
+from qmce.piecewise import PiecewisePolynomial
 
 
 def two_piece():
@@ -81,20 +81,6 @@ class TestCalculus:
     def test_scaled(self):
         p = two_piece().scaled(2.0)
         assert p.value(0.5) == 4.0
-
-
-class TestExpMoments:
-    @pytest.mark.parametrize("beta,h", [(1e-9, 2.0), (0.3, 1.7), (4.0, 2.5), (60.0, 2.0), (80.0, 3.0)])
-    def test_matches_quadrature(self, beta, h):
-        ims = _exp_moments(beta, h, 8)
-        for m in range(9):
-            ref, _ = integrate.quad(lambda u: u**m * math.exp(-beta * u), 0, h, epsabs=0, epsrel=1e-13)
-            assert ims[m] == pytest.approx(ref, rel=1e-11)
-
-    def test_tiny_beta_no_cancellation(self):
-        ims = _exp_moments(1e-14, 1.0, 5)
-        for m in range(6):
-            assert ims[m] == pytest.approx(1.0 / (m + 1), rel=1e-12)
 
 
 class TestLaplace:

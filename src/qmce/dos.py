@@ -128,9 +128,13 @@ def eval_dos_derivative(d: PiecewiseDos, e: float, order: int = 1) -> tuple[floa
     return d.poly.one_sided(float(e), order)
 
 
-def integrate_dos(d: PiecewiseDos, a: float, b: float) -> float:
-    """Exact integral of Omega over [a, b], clipped to the support."""
-    return d.poly.integrate(float(a), float(b))
+def integrate_dos(d: PiecewiseDos, a, b):
+    """Exact integral of Omega over [a, b], clipped to the support.
+
+    a and b are scalars (a float back) or arrays that broadcast (an array
+    back, one integral per interval, in one vectorized pass).
+    """
+    return d.poly.integrate(a, b)
 
 
 def eval_eq7_direct(s: Spectrum, e: float) -> float:

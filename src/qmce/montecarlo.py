@@ -9,12 +9,20 @@ equivalent sampling contracts are provided and must agree statistically:
   parts and normalize the squared magnitudes;
 * ``exponential``: draw dim unit-rate exponentials and normalize.
 
+Both give Dirichlet(1, ..., 1) occupations: |z|^2 of a standard complex
+normal is an Exp(1) variable, and dim i.i.d. Exp(1) variables over their
+sum are uniform on the simplex (Devroye, *Non-Uniform Random Variate
+Generation*, 1986, ch. XI).  ``estimate_dos`` defaults to ``gaussian``,
+the literal pure-state contract; ``qmce mc-verify`` uses
+``exponential``, which draws half as many variables, each cheaper.
+
 Reproducibility: streams use the counter-based Philox generator with
 key (seed, stream_index), so stream i is fully determined by the seed
 and its index.  Worker threads only ever execute whole streams and the
 integer per-bin counts are merged in stream order, which makes results
-bit-identical for a fixed (samples, seed, streams, bins) regardless of
-the number of threads (including none).
+bit-identical for a fixed (samples, seed, streams, bins, method)
+regardless of the number of threads (including none), for a given numpy
+version: NumPy's Generator streams may change between versions (NEP 19).
 """
 
 from __future__ import annotations

@@ -24,6 +24,8 @@ import numpy.polynomial.polynomial as npp
 
 from .roots import decreasing_root
 
+_BLOCK_FLOATS = 1 << 20  # per-block budget of the (pairs, degree, degree) subdivision weights
+
 
 @functools.cache
 def _pascal(d: int) -> np.ndarray:
@@ -209,29 +211,41 @@ class PiecewisePolynomial:
 
     # -- calculus ------------------------------------------------------
 
-    def integrate(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] (clipped to the support).
+    def integrate(self, a, b):
+        """Exact integral over [a, b] (clipped to the support); b < a negates it.
 
-        Each overlapped piece is subdivided onto its part of [a, b], whose
-        integral is the width times the mean of the new coefficients.
+        a and b are scalars or arrays that broadcast: scalars give a float,
+        arrays an array of their broadcast shape.  Each interval expands into
+        one (interval, overlapped piece) pair per piece; every piece is
+        subdivided onto its part of the interval, whose integral is the width
+        times the mean of the new coefficients.
         """
-        sign = 1.0
-        if b < a:
-            a, b = b, a
-            sign = -1.0
+        xa, xb = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        fa, fb = xa.ravel(), xb.ravel()
         bp = self.breakpoints
-        a = max(a, bp[0])
-        b = min(b, bp[-1])
-        if b <= a:
-            return 0.0
-        j = np.arange(np.searchsorted(bp, a, side="right") - 1, np.searchsorted(bp, b, side="left"))
-        start, end = bp[j], bp[j + 1]
-        lo, hi = np.maximum(a, start), np.minimum(b, end)
-        width = end - start
-        # the part on [lo, end] is the reversed left part of the reversed row
-        c = _left_part(self.bernstein[j, ::-1], (end - lo) / width, (lo - start) / width)[:, ::-1]
-        c = _left_part(c, (hi - lo) / (end - lo), (end - hi) / (end - lo))
-        return sign * float(np.sum((hi - lo) * np.mean(c, axis=-1)))
+        lo_all, hi_all = np.maximum(np.minimum(fa, fb), bp[0]), np.minimum(np.maximum(fa, fb), bp[-1])
+        first = np.searchsorted(bp, lo_all, side="right") - 1
+        count = np.where(hi_all > lo_all, np.searchsorted(bp, hi_all, side="left") - first, 0)
+        offsets = np.cumsum(count) - count
+        pair = np.repeat(np.arange(fa.size), count)
+        j = first[pair] + np.arange(pair.size) - offsets[pair]
+        parts = np.empty(pair.size)
+        step = max(1, _BLOCK_FLOATS // (self.degree + 1) ** 2)
+        for i in range(0, pair.size, step):  # blocks bound the (pairs, degree, degree) temporaries
+            jb, ib = j[i : i + step], pair[i : i + step]
+            start, end = bp[jb], bp[jb + 1]
+            lo, hi = np.maximum(lo_all[ib], start), np.minimum(hi_all[ib], end)
+            width = end - start
+            # the part on [lo, end] is the reversed left part of the reversed row
+            c = _left_part(self.bernstein[jb, ::-1], (end - lo) / width, (lo - start) / width)[:, ::-1]
+            c = _left_part(c, (hi - lo) / (end - lo), (end - hi) / (end - lo))
+            parts[i : i + step] = (hi - lo) * np.mean(c, axis=-1)
+        out = np.empty(fa.size)
+        for n in np.unique(count):  # one row per interval, summed as np.sum sums one interval's pairs
+            at = count == n
+            out[at] = parts[offsets[at, None] + np.arange(n)].sum(axis=-1)
+        out = np.where((count > 0) & (fb < fa), -out, out)
+        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
     def integral(self) -> float:
         return float(np.sum(np.diff(self.breakpoints) * np.mean(self.bernstein, axis=-1)))

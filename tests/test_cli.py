@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmce import build_dos, energy_of_temperature, eval_dos, load_spectrum, make_spectrum
+from qmce import (
+    IsingChainSpec,
+    build_dos,
+    energy_of_temperature,
+    eval_dos,
+    integrate_dos,
+    ising_spectrum,
+    load_spectrum,
+    make_spectrum,
+)
 from qmce.cli import main
 
 
@@ -300,6 +309,26 @@ def test_mc_verify_bad_threads(capsys, monkeypatch):
     assert code == 1
 
 
+def test_mc_verify_at_benchmark_size(capsys, monkeypatch):
+    # Ising L5: dim 32 with degenerate levels, the sampling benchmark's largest spectrum
+    source = ["--ising", "--spins", "5", "--J", "0.37", "--B", "0.61"]
+    texts = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QMCE_THREADS", threads)
+        code, out, _ = run(capsys, ["mc-verify", *source, "--samples", "1e6", "--bins", "512"])
+        assert code == 0
+        texts.append(out)
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    assert float(lines[-1].split(",")[1]) >= 0.99
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 512
+    d = build_dos(ising_spectrum(IsingChainSpec(5, 0.37, 0.61)))
+    assert d.dim == 32
+    scalar = [integrate_dos(d, float(lo), float(hi)) / (float(hi) - float(lo)) for lo, hi, *_ in rows]
+    assert [r[4] for r in rows] == [f"{v:.17g}" for v in scalar]
+
+
 # -- grand ----------------------------------------------------------------
 
 
@@ -402,6 +431,25 @@ def test_module_entrypoint_subprocess():
         [sys.executable, "-m", "qmce.cli", "dos"], capture_output=True, text=True
     )
     assert bad.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-verify", "--levels", "0,1", "--samples", "1000", "--bins", "4", "--gnuplot"],
+        ["dos", "--levels", "0,1", "--gnuplot"],
+        ["grand", "--grid", "2", "--gnuplot"],
+        ["grand", "--grid", "2", "--marginal"],
+        ["grand", "--grid", "2", "--marginal", "--levels", "0,1,2,3"],
+    ],
+    ids=["mc-verify-gnuplot", "dos-gnuplot", "grand-gnuplot", "grand-marginal-no-source", "grand-marginal-four-levels"],
+)
+def test_usage_errors_write_nothing(argv, capsys):
+    # usage is checked before any computation, so a rejected run leaves stdout empty
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "error" in err
 
 
 def test_help_exits_zero(capsys):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from qmce import build_dos, make_spectrum
-from qmce.piecewise import PiecewisePolynomial
+import qmce.piecewise
+from qmce import IsingChainSpec, build_dos, ising_spectrum, make_spectrum
+from qmce.piecewise import PiecewisePolynomial, _left_part
 
 
 def two_piece():
@@ -81,6 +82,92 @@ class TestCalculus:
     def test_scaled(self):
         p = two_piece().scaled(2.0)
         assert p.value(0.5) == 4.0
+
+
+def _integrate_spectra():
+    rng = np.random.default_rng(26)
+    for dim in range(2, 34):
+        yield pytest.param(make_spectrum(np.sort(rng.uniform(-1.0, 2.0, dim))), id=f"dim{dim}")
+        if dim >= 3:  # dim split into max(2, dim // 3) multiplicities, at least one of them above 1
+            k = max(2, dim // 3)
+            ms = np.diff([0, *np.sort(rng.choice(np.arange(1, dim), k - 1, replace=False)), dim])
+            levels = np.sort(rng.uniform(-1.0, 2.0, k))
+            yield pytest.param(make_spectrum(list(zip(levels, ms.tolist()))), id=f"dim{dim}-degenerate")
+    for spins in (3, 4, 5):
+        yield pytest.param(ising_spectrum(IsingChainSpec(spins, 0.37, 0.61)), id=f"ising{spins}")
+
+
+def _intervals(p, rng):
+    """Bins, knot-straddling, zero-width, outside-the-support and reversed intervals."""
+    bp = p.breakpoints
+    lo, hi = p.support
+    w = hi - lo
+    edges = np.linspace(lo, hi, 65)
+    eps = 1e-3 * w * rng.random(bp.size)
+    a = [edges[:-1], bp - eps, bp, rng.uniform(lo, hi, 20), [lo - 2 * w, hi + w, lo - w], edges[1:]]
+    b = [edges[1:], bp + eps, bp, rng.uniform(lo, hi, 20), [lo - w, hi + 2 * w, hi + w], edges[:-1]]
+    return np.concatenate(a), np.concatenate(b)
+
+
+def _integrate_loop(p, a, b):
+    """The scalar algorithm integrate vectorizes, one interval at a time: the reference bytes."""
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    bp = p.breakpoints
+    a, b = max(a, bp[0]), min(b, bp[-1])
+    if b <= a:
+        return 0.0
+    j = np.arange(np.searchsorted(bp, a, side="right") - 1, np.searchsorted(bp, b, side="left"))
+    start, end = bp[j], bp[j + 1]
+    lo, hi = np.maximum(a, start), np.minimum(b, end)
+    c = _left_part(p.bernstein[j, ::-1], (end - lo) / (end - start), (lo - start) / (end - start))[:, ::-1]
+    c = _left_part(c, (hi - lo) / (end - lo), (end - hi) / (end - lo))
+    return sign * float(np.sum((hi - lo) * np.mean(c, axis=-1)))
+
+
+class TestArrayIntegrate:
+    """integrate over arrays of intervals: the same bytes as one scalar call per interval."""
+
+    @pytest.mark.parametrize("s", list(_integrate_spectra()))
+    def test_matches_scalar_calls(self, s):
+        p = build_dos(s).poly
+        a, b = _intervals(p, np.random.default_rng(s.dim))
+        got = p.integrate(a, b)
+        ref = np.array([p.integrate(float(x), float(y)) for x, y in zip(a, b)])
+        loop = np.array([_integrate_loop(p, float(x), float(y)) for x, y in zip(a, b)])
+        assert got.shape == a.shape
+        assert got.tobytes() == ref.tobytes() == loop.tobytes()
+        assert np.array_equal(p.integrate(b, a), -got)  # reversed intervals negate
+        assert np.all(got[a == b] == 0.0) and np.all(got[:64] > 0.0)
+
+    @pytest.mark.parametrize("s", list(_integrate_spectra())[::7])
+    def test_partition_sums_to_integral(self, s):
+        p = build_dos(s).poly
+        lo, hi = p.support
+        cuts = np.sort(np.concatenate([p.breakpoints, np.random.default_rng(1).uniform(lo, hi, 300)]))
+        assert math.isclose(np.sum(p.integrate(cuts[:-1], cuts[1:])), p.integral(), rel_tol=1e-14)
+
+    def test_scalar_input_returns_float(self):
+        p = two_piece()
+        for a, b in ((0.5, 1.5), (np.float64(1.5), 0.5), (np.array(10.0), 20), (1.0, 1.0)):
+            assert type(p.integrate(a, b)) is float
+        assert p.integrate(1.0, 1.0) == 0.0 and math.copysign(1.0, p.integrate(20.0, 10.0)) == 1.0
+
+    def test_broadcast_shape(self):
+        p = two_piece()
+        b = np.array([[0.5, 1.5], [2.0, 3.0]])
+        got = p.integrate(0.25, b)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == p.integrate(0.25, 2.0)
+        assert p.integrate(np.array([]), np.array([])).shape == (0,)
+
+    def test_blocks_do_not_change_bytes(self, monkeypatch):
+        p = build_dos(ising_spectrum(IsingChainSpec(4, 0.37, 0.61))).poly
+        a, b = _intervals(p, np.random.default_rng(4))
+        whole = p.integrate(a, b)
+        monkeypatch.setattr(qmce.piecewise, "_BLOCK_FLOATS", 1)
+        assert p.integrate(a, b).tobytes() == whole.tobytes()
 
 
 class TestLaplace:
